@@ -11,8 +11,9 @@ Usage: python scripts/equilibrium_fuzz.py [--count 500] [--seed 0]
 import argparse
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rigidmarket import (  # noqa: E402
     TreeSizeExceeded,

@@ -13,8 +13,9 @@ Usage: python scripts/manipulation_scan.py [--count 100] [--buyers 3]
 import argparse
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rigidmarket import (  # noqa: E402
     ManipulationProblem,

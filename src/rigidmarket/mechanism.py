@@ -101,7 +101,13 @@ class ScriptedLottery:
 
 @dataclass(frozen=True)
 class MechanismState:
-    """Snapshot between rounds: everything the seller and buyers remember."""
+    """Snapshot between rounds: everything the seller and buyers remember.
+
+    ``demands`` holds each buyer's last settled report.  ``active`` is the
+    set of buyers who must report this round: the steps that open a round
+    leave out every buyer whose recorded demand provably cannot change,
+    so that report is carried over as it stands.
+    """
 
     t: int
     prices: tuple[int, ...]
@@ -111,7 +117,8 @@ class MechanismState:
     demands: Mapping[int, frozenset[int]]
 
     def unsold_buyers(self, economy: Economy) -> tuple[int, ...]:
-        return tuple(i for i in economy.buyers if not self.sold.covers_buyer(i))
+        sold = self.sold.buyer_to_item
+        return tuple(i for i in economy.buyers if i not in sold)
 
 
 def initial_state(economy: Economy) -> MechanismState:
@@ -130,7 +137,10 @@ def refresh_demands(economy: Economy, state: MechanismState) -> MechanismState:
 
     Active buyers report at current prices; any of them demanding a sold
     item loses permission for exactly those items and reports again.
-    Settles within one pass per sold item.
+    Settles within one pass per sold item.  Every other buyer keeps the
+    report in ``state.demands``; :func:`price_increase_step` and
+    :func:`apply_sale` only leave a buyer inactive when that report is
+    still its demand and touches no sold item.
     """
     demands = dict(state.demands)
     rationing = state.rationing
@@ -172,7 +182,14 @@ def gate(economy: Economy, state: MechanismState):
 def price_increase_step(
     economy: Economy, state: MechanismState, x_min: frozenset[int]
 ) -> MechanismState:
-    """Raise every price in x_min by one unit and open the next round."""
+    """Raise every price in x_min by one unit and open the next round.
+
+    Only unsold buyers whose recorded demand meets x_min (and any buyer
+    with no recorded demand) report again.  That is exact: an item
+    outside x_min keeps its price, and items in x_min only lose net
+    benefit, so a demand set disjoint from x_min keeps the same best
+    items.  ``state`` must carry the settled reports of its round.
+    """
     if not x_min:
         raise ValueError("price increase needs a nonempty item set")
     for a in x_min:
@@ -185,7 +202,11 @@ def price_increase_step(
         state,
         t=state.t + 1,
         prices=prices,
-        active=frozenset(state.unsold_buyers(economy)),
+        active=frozenset(
+            i
+            for i in state.unsold_buyers(economy)
+            if i not in state.demands or not x_min.isdisjoint(state.demands[i])
+        ),
     )
 
 
@@ -203,8 +224,20 @@ def lottery_entrants(state: MechanismState, item: int, x_min: frozenset[int]) ->
 def apply_sale(
     economy: Economy, state: MechanismState, item: int, winner: int
 ) -> MechanismState:
+    """Sell ``item`` to ``winner`` and open the next round.
+
+    Only unsold non-winners whose recorded demand contains the item (and
+    any buyer with no recorded demand) report again.  That is exact:
+    prices do not move at a sale, so every other buyer's demand is
+    unchanged and still touches no sold item.  ``state`` must carry the
+    settled reports of its round.
+    """
     sold = Matching(state.sold.pairs() + ((winner, item),))
-    active = frozenset(i for i in state.unsold_buyers(economy) if i != winner)
+    active = frozenset(
+        i
+        for i in state.unsold_buyers(economy)
+        if i != winner and (i not in state.demands or item in state.demands[i])
+    )
     return replace(state, t=state.t + 1, sold=sold, active=active)
 
 
@@ -296,6 +329,12 @@ class Trace:
         return [self.item_names[a] for a in sorted(items)]
 
     def row_dict(self, row: TraceRow) -> dict:
+        names = self._names
+        return self._row_dict(
+            row, names, lambda cells: [None if c is None else names(c) for c in cells]
+        )
+
+    def _row_dict(self, row: TraceRow, names, columns) -> dict:
         lottery = None
         if row.lottery is not None:
             lottery = {
@@ -306,11 +345,11 @@ class Trace:
         return {
             "t": row.label,
             "prices": list(row.prices),
-            "x_min": self._names(row.x_min),
-            "u_sets": [self._names(u) for u in row.u_sets],
+            "x_min": names(row.x_min),
+            "u_sets": columns(row.u_sets),
             "sold_buyers": list(row.sold_buyers),
-            "demands": [None if d is None else self._names(d) for d in row.demands],
-            "sold_items": self._names(row.sold_items),
+            "demands": columns(row.demands),
+            "sold_items": names(row.sold_items),
             "lottery": lottery,
         }
 
@@ -322,7 +361,28 @@ class Trace:
         }
 
     def to_json_lines(self) -> list[str]:
-        lines = [json.dumps(self.row_dict(row)) for row in self.rows]
+        """One JSON line per row, then the final record.
+
+        Rows repeat most of their item sets and whole ``U``/``D``
+        columns, so each distinct one is named once; the lines equal
+        ``json.dumps(self.row_dict(row))``.
+        """
+        named_sets: dict[tuple[int, ...], list[str]] = {}
+        named_columns: dict[tuple, list] = {}
+
+        def names(items: tuple[int, ...]) -> list[str]:
+            named = named_sets.get(items)
+            if named is None:
+                named = named_sets[items] = self._names(items)
+            return named
+
+        def columns(cells: tuple) -> list:
+            named = named_columns.get(cells)
+            if named is None:
+                named = named_columns[cells] = [None if c is None else names(c) for c in cells]
+            return named
+
+        lines = [json.dumps(self._row_dict(row, names, columns)) for row in self.rows]
         lines.append(json.dumps({"final": self.final_dict()}))
         return lines
 
@@ -379,34 +439,65 @@ class MaprOutcome:
         return tuple(e.winner for e in self.trace.events)
 
 
-def _make_row(
-    economy: Economy,
-    state: MechanismState,
-    label: str,
-    x_min,
-    lottery: Optional[LotteryEvent],
-) -> TraceRow:
-    sold_buyers = tuple(sorted(state.sold.matched_buyers()))
-    demands = tuple(
-        None
-        if state.sold.covers_buyer(i)
-        else tuple(sorted(state.demands.get(i, frozenset())))
-        for i in economy.buyers
-    )
-    return TraceRow(
-        label=label,
-        t=state.t,
-        prices=state.prices,
-        x_min=tuple(sorted(x_min)) if x_min else (),
-        u_sets=tuple(
-            tuple(sorted(state.rationing.forbidden(i, economy.n_items)))
-            for i in economy.buyers
-        ),
-        sold_buyers=sold_buyers,
-        demands=demands,
-        sold_items=tuple(sorted(state.sold.matched_items())),
-        lottery=lottery,
-    )
+_NO_REPORT: frozenset[int] = frozenset()
+_UNSEEN = object()
+
+
+class _TraceRows:
+    """Trace rows for one run, re-sorting only the cells that changed.
+
+    Between rounds most buyers keep both their permission row and their
+    demand report as the very same objects, so each buyer's ``U_i`` and
+    ``D_i`` cells are cached against the identity of their source set.
+    """
+
+    def __init__(self, economy: Economy):
+        n = economy.n_buyers
+        self._n_items = economy.n_items
+        self._buyers = economy.buyers
+        self._allowed: list = [_UNSEEN] * n
+        self._u_cells: list = [()] * n
+        self._u_sets: tuple = ()
+        self._reports: list = [_UNSEEN] * n
+        self._d_cells: list = [None] * n
+        self._demands: tuple = ()
+
+    def _u_sets_of(self, rationing: RationingSystem) -> tuple:
+        changed = False
+        for k, allowed in enumerate(rationing.allowed):
+            if allowed is not self._allowed[k]:
+                self._allowed[k] = allowed
+                self._u_cells[k] = tuple(a for a in range(self._n_items) if a not in allowed)
+                changed = True
+        if changed:
+            self._u_sets = tuple(self._u_cells)
+        return self._u_sets
+
+    def _demands_of(self, state: MechanismState) -> tuple:
+        sold, demands = state.sold.buyer_to_item, state.demands
+        changed = False
+        for k, i in enumerate(self._buyers):
+            report = None if i in sold else demands.get(i, _NO_REPORT)
+            if report is not self._reports[k]:
+                self._reports[k] = report
+                self._d_cells[k] = None if report is None else tuple(sorted(report))
+                changed = True
+        if changed:
+            self._demands = tuple(self._d_cells)
+        return self._demands
+
+    def row(self, state: MechanismState, label: str, x_min, lottery) -> TraceRow:
+        return TraceRow(
+            label=label,
+            t=state.t,
+            prices=state.prices,
+            x_min=tuple(sorted(x_min)) if x_min else (),
+            u_sets=self._u_sets_of(state.rationing),
+            sold_buyers=tuple(sorted(state.sold.matched_buyers())),
+            demands=self._demands_of(state),
+            sold_items=tuple(sorted(state.sold.matched_items())),
+            lottery=lottery,
+        )
 
 
 def complete_run(economy: Economy, state: MechanismState) -> tuple[Matching, Allocation]:
@@ -432,6 +523,7 @@ def run_mapr(economy: Economy, policy: Optional[LotteryPolicy] = None) -> MaprOu
     if policy is None:
         policy = SeededLottery(0)
     state = initial_state(economy)
+    row = _TraceRows(economy).row
     rows: list[TraceRow] = []
     events: list[LotteryEvent] = []
     branch: list[str] = []
@@ -443,16 +535,16 @@ def run_mapr(economy: Economy, policy: Optional[LotteryPolicy] = None) -> MaprOu
         x_min, xbar = gate(economy, state)
         label = ".".join([str(state.t)] + branch)
         if x_min is None:
-            rows.append(_make_row(economy, state, label, (), None))
+            rows.append(row(state, label, (), None))
             break
         if not xbar:
-            rows.append(_make_row(economy, state, label, x_min, None))
+            rows.append(row(state, label, x_min, None))
             state = price_increase_step(economy, state, x_min)
             price_rounds += 1
             continue
         item = xbar[0]
         next_state, event = lottery_step(economy, state, item, x_min, policy)
-        rows.append(_make_row(economy, state, label, x_min, event))
+        rows.append(row(state, label, x_min, event))
         events.append(event)
         branch.append(str(event.entrants.index(event.winner) + 1))
         state = next_state

@@ -1,3 +1,7 @@
+import json
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,8 +22,9 @@ from rigidmarket import (
     refresh_demands,
     rm,
     run_mapr,
+    validate_economy,
 )
-from rigidmarket.mechanism import gate, lottery_entrants
+from rigidmarket.mechanism import Trace, TraceRow, complete_run, gate, lottery_entrants
 
 from strategies import economies, make_economy
 
@@ -49,6 +54,8 @@ def test_price_increase_step(market):
     assert bumped.prices == (0, 5, 4, 2, 5)
     assert bumped.t == 1
     assert bumped.sold == state.sold
+    # only the buyers demanding the raised item c report again
+    assert bumped.active == frozenset({1, 2, 3})
 
     capped = MechanismState(
         t=3,
@@ -77,7 +84,8 @@ def test_lottery_step_entrants_and_determinism(market):
     assert event.entrants == (2, 3) and event.winner == 2 and event.round == 3
     assert next_state.sold.pairs() == ((2, 3),)
     assert next_state.prices == state.prices
-    assert 2 not in next_state.active
+    # buyer 3 lost the draw for c and must re-report; nobody else demanded c
+    assert next_state.active == frozenset({3})
 
     # the same seed always picks the same winner
     picks = {lottery_step(market, state, 3, x_min, SeededLottery(9))[1].winner for _ in range(5)}
@@ -268,8 +276,6 @@ def test_json_rows_carry_all_fields(market):
     outcome = run_mapr(market, ScriptedLottery([2]))
     lines = outcome.trace.to_json_lines()
     assert len(lines) == 8
-    import json
-
     first = json.loads(lines[0])
     assert set(first) == {
         "t",
@@ -285,3 +291,111 @@ def test_json_rows_carry_all_fields(market):
     assert lottery_row["lottery"] == {"item": "c", "entrants": [2, 3], "winner": 2}
     final = json.loads(lines[-1])
     assert final["final"]["allocation"] == ["o", "c", "b", "a", "d"]
+
+
+# --- the incremental round engine against a full-refresh oracle
+
+
+def reference_row(economy, state, label, x_min, lottery):
+    """A trace row rebuilt from scratch, every cell sorted anew."""
+    return TraceRow(
+        label=label,
+        t=state.t,
+        prices=state.prices,
+        x_min=tuple(sorted(x_min)) if x_min else (),
+        u_sets=tuple(
+            tuple(sorted(state.rationing.forbidden(i, economy.n_items))) for i in economy.buyers
+        ),
+        sold_buyers=tuple(sorted(state.sold.matched_buyers())),
+        demands=tuple(
+            None
+            if state.sold.covers_buyer(i)
+            else tuple(sorted(state.demands.get(i, frozenset())))
+            for i in economy.buyers
+        ),
+        sold_items=tuple(sorted(state.sold.matched_items())),
+        lottery=lottery,
+    )
+
+
+def assert_matches_full_refresh(economy, seed):
+    """Step the engine beside a loop where every unsold buyer reports every round.
+
+    Both loops drive the public step functions; the reference one forces
+    ``active`` to all unsold buyers before each refresh.  Every round must
+    agree, and ``run_mapr`` must emit the reference loop's trace.
+    """
+    ref_policy, inc_policy = SeededLottery(seed), SeededLottery(seed)
+    ref = inc = initial_state(economy)
+    rows, events, branch = [], [], []
+    for _ in range(economy.bound_spread() + economy.n_items + 1):
+        ref = refresh_demands(economy, replace(ref, active=frozenset(ref.unsold_buyers(economy))))
+        inc = refresh_demands(economy, inc)
+        x_min, xbar = gate(economy, ref)
+        assert gate(economy, inc) == (x_min, xbar)
+        assert inc.demands == ref.demands
+        assert inc.rationing == ref.rationing
+        assert inc.prices == ref.prices
+        assert inc.sold == ref.sold
+        label = ".".join([str(ref.t)] + branch)
+        if x_min is None:
+            rows.append(reference_row(economy, ref, label, (), None))
+            break
+        if not xbar:
+            rows.append(reference_row(economy, ref, label, x_min, None))
+            ref = price_increase_step(economy, ref, x_min)
+            inc = price_increase_step(economy, inc, x_min)
+            continue
+        next_ref, event = lottery_step(economy, ref, xbar[0], x_min, ref_policy)
+        inc, inc_event = lottery_step(economy, inc, xbar[0], x_min, inc_policy)
+        assert inc_event == event
+        rows.append(reference_row(economy, ref, label, x_min, event))
+        events.append(event)
+        branch.append(str(event.entrants.index(event.winner) + 1))
+        ref = next_ref
+    else:
+        raise AssertionError("reference loop exceeded the round bound")
+
+    _, allocation = complete_run(economy, ref)
+    reference = Trace(
+        item_names=economy.item_names,
+        n_buyers=economy.n_buyers,
+        rows=tuple(rows),
+        events=tuple(events),
+        final_prices=ref.prices,
+        final_rationing_zeros=ref.rationing.zeros(economy.n_items),
+        final_allocation=allocation.assignment,
+    )
+    outcome = run_mapr(economy, SeededLottery(seed))
+    assert outcome.trace == reference
+    assert outcome.trace.to_json_lines() == reference.to_json_lines()
+
+
+def wide_economy(seed, n, m, room):
+    """Values U[0,100], floors U[0,50], caps a floor plus U[0,room]."""
+    rng = random.Random(seed)
+    rows = [(0, *(rng.randint(0, 100) for _ in range(m))) for _ in range(n)]
+    lower = [rng.randint(0, 50) for _ in range(m)]
+    upper = [a + rng.randint(0, room) for a in lower]
+    names = ("o", *(f"i{k}" for k in range(1, m + 1)))
+    return validate_economy(names, rows, (0, *lower), (0, *upper))
+
+
+@settings(max_examples=60)
+@given(economies(max_buyers=5, max_real_items=4))
+def test_incremental_refresh_matches_full_refresh(economy):
+    assert_matches_full_refresh(economy, seed=7)
+
+
+@pytest.mark.parametrize("room", [40, 1])
+def test_incremental_refresh_matches_full_refresh_at_40x20(room):
+    assert_matches_full_refresh(wide_economy(2024, 40, 20, room), seed=5)
+
+
+@settings(max_examples=50)
+@given(economies())
+def test_json_lines_equal_plain_row_dicts(economy):
+    trace = run_mapr(economy, SeededLottery(1)).trace
+    expected = [json.dumps(trace.row_dict(r)) for r in trace.rows]
+    expected.append(json.dumps({"final": trace.final_dict()}))
+    assert trace.to_json_lines() == expected
