@@ -76,7 +76,6 @@ from .mechanism import (
     run_mapr,
 )
 from .expectation import (
-    AllocationSituation,
     ExpectationReport,
     HistoryLeaf,
     TreeStats,

@@ -5,28 +5,33 @@ of the ``k`` eligible buyers wins with chance ``1/k``.  Expected values
 are therefore exact rationals; this module computes them two independent
 ways:
 
-* :func:`expected_values` evaluates the recursion over allocation
-  situations: a (prices, rationing) pair in which every sold item is
-  barred to everyone but its holder.  Nodes either settle (no minimal
-  over-demanded set among unsold buyers: the value is each buyer's best
-  attainable net benefit and the current prices), raise prices by one
-  unit, or average over the lottery branches of the capped item.
+* :func:`expected_values` walks the lottery tree on its own state:
+  prices, the partial sale, and a rationing in which every sold item is
+  barred to everyone but its holder.  Each node recomputes every unsold
+  buyer's demand from scratch and asks the mechanism's own
+  :func:`~rigidmarket.mechanism.gate` and
+  :func:`~rigidmarket.mechanism.lottery_entrants` whether to settle,
+  raise prices, or hold a lottery, whose branches it averages.  The
+  strategy module's profit evaluation is the same walk with another
+  payoff.
 * :func:`enumerate_histories` forks the live mechanism state at every
-  lottery and collects one terminal tuple per complete history, with its
-  probability.
+  lottery, with the mechanism's incremental demand refresh, and collects
+  one terminal tuple per complete history, with its probability.
 
-The two agree leaf by leaf; tests cross-validate their aggregates.
-All arithmetic uses :class:`fractions.Fraction`; floats never appear.
+The two routes share the round decision but not the demand path, so
+their agreement, which the tests check in aggregate and leaf count,
+also checks the mechanism's incremental refresh and its strikes.  All
+arithmetic uses :class:`fractions.Fraction`; floats never appear.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import TreeSizeExceeded
-from .matching import Matching, max_matching
+from .matching import Matching
 from .mechanism import (
     MechanismState,
     apply_sale,
@@ -39,13 +44,11 @@ from .mechanism import (
 )
 from .model import (
     Allocation,
-    DemandSituation,
     Economy,
     RationingSystem,
     demand_set,
     indirect_utility,
 )
-from .overdemand import mods
 
 DEFAULT_NODE_LIMIT = 1_000_000
 
@@ -80,24 +83,6 @@ def record_sale(rationing: RationingSystem, winner: int, item: int) -> Rationing
 
 
 @dataclass(frozen=True)
-class AllocationSituation:
-    """State of the expected-value recursion: prices plus sale-encoding rationing."""
-
-    prices: tuple[int, ...]
-    rationing: RationingSystem
-
-    def sold(self) -> Matching:
-        return sold_matching_from_rationing(self.rationing, len(self.prices))
-
-    @staticmethod
-    def root(economy: Economy) -> "AllocationSituation":
-        return AllocationSituation(
-            economy.lower_bounds,
-            RationingSystem.full(economy.n_buyers, economy.n_items),
-        )
-
-
-@dataclass(frozen=True)
 class TreeStats:
     nodes: int
     leaves: int
@@ -111,13 +96,93 @@ class ExpectationReport:
     tree_stats: TreeStats
 
 
-@dataclass(frozen=True)
-class _NodeValue:
-    profits: tuple[Fraction, ...]
-    prices: tuple[Fraction, ...]
-    nodes: int
-    leaves: int
-    mass: Fraction
+def _stable_price_step(economy, prices, demands, x_min, rationing) -> int:
+    """Largest uniform raise of the flagged set that provably repeats the round.
+
+    While every demand set is unchanged the same set gets flagged again,
+    so intermediate rounds can be skipped.  Buyers confined to the set
+    keep their demand until its net benefit falls to their best outside
+    option; a buyer straddling the boundary changes demand immediately.
+    """
+    step = min(economy.upper_bounds[a] - prices[a] for a in x_min)
+    for i, d in demands.items():
+        if not d & x_min:
+            continue
+        if not d <= x_min:
+            return 1
+        row = economy.valuations[i - 1]
+        inside = max(row[a] - prices[a] for a in d)
+        outside = max(
+            row[a] - prices[a] for a in rationing.allowed[i - 1] if a not in x_min
+        )
+        step = min(step, inside - outside)
+    return max(step, 1)
+
+
+def _walk_lottery_tree(
+    economy: Economy,
+    node_limit: int,
+    payoff: Callable[[MechanismState], tuple[Fraction, ...]],
+    early: Optional[Callable] = None,
+) -> tuple[tuple[Fraction, ...], int, int]:
+    """Average ``payoff`` over the mechanism's lottery tree: (value, nodes, leaves).
+
+    A node is one round.  ``early(prices, sold)``, when given, may fix a
+    node's value before its round is played.  Otherwise every unsold
+    buyer reports afresh on the sale-encoding rationing, the mechanism's
+    own :func:`gate` decides the round, and a settled node is worth
+    ``payoff`` of its state.  Price raises jump by
+    :func:`_stable_price_step`, and the skipped rounds still count as
+    nodes against ``node_limit``.  A lottery node's value is the mean of
+    its children's.
+    """
+    nodes = leaves = 0
+
+    def visit(prices, rationing, sold):
+        nonlocal nodes, leaves
+        while True:
+            nodes += 1
+            if nodes > node_limit:
+                raise TreeSizeExceeded(
+                    f"lottery tree exceeded {node_limit} nodes", nodes=nodes
+                )
+            if early is not None:
+                value = early(prices, sold)
+                if value is not None:
+                    leaves += 1
+                    return value
+
+            demands = {
+                i: demand_set(economy, prices, rationing, i)
+                for i in economy.buyers
+                if not sold.covers_buyer(i)
+            }
+            state = MechanismState(
+                0, prices, sold, rationing, active=frozenset(), demands=demands
+            )
+            x_min, xbar = gate(economy, state)
+            if x_min is None:
+                leaves += 1
+                return payoff(state)
+            if not xbar:
+                step = _stable_price_step(economy, prices, demands, x_min, rationing)
+                nodes += step - 1
+                prices = tuple(
+                    p + step if a in x_min else p for a, p in enumerate(prices)
+                )
+                continue
+
+            item = xbar[0]
+            children = []
+            for winner in lottery_entrants(state, item, x_min):
+                sold_on = Matching(sold.pairs() + ((winner, item),))
+                children.append(visit(prices, record_sale(rationing, winner, item), sold_on))
+            k = len(children)
+            return tuple(sum(column) / k for column in zip(*children))
+
+    full = RationingSystem.full(economy.n_buyers, economy.n_items)
+    root = visit(economy.lower_bounds, full, Matching())
+    return root, nodes, leaves
 
 
 def expected_values(
@@ -125,98 +190,26 @@ def expected_values(
 ) -> ExpectationReport:
     """Expected profit per buyer and expected price per item, exactly.
 
-    The search tree is capped at ``node_limit`` nodes (shared subtrees
-    count each time they occur); :class:`TreeSizeExceeded` carries the
-    count reached.  Deterministic choices (set search, capped-item pick)
-    are the same functions the mechanism itself uses, so the tree is the
-    mechanism's.
+    The lottery tree is capped at ``node_limit`` nodes, one per round of
+    some history; :class:`TreeSizeExceeded` carries the count reached.
     """
-    memo: dict = {}
-    spent = [0]
 
-    def charge(n: int):
-        spent[0] += n
-        if spent[0] > node_limit:
-            raise TreeSizeExceeded(
-                f"lottery tree exceeded {node_limit} nodes", nodes=spent[0]
-            )
+    def payoff(state: MechanismState) -> tuple[Fraction, ...]:
+        profits = tuple(
+            Fraction(indirect_utility(economy, state.prices, state.rationing, i))
+            for i in economy.buyers
+        )
+        return profits + tuple(Fraction(p) for p in state.prices) + (Fraction(1),)
 
-    def visit(prices, rationing) -> _NodeValue:
-        chain = []
-        while True:
-            key = (prices, rationing)
-            chain.append(key)
-            hit = memo.get(key)
-            if hit is not None:
-                charge(hit.nodes)
-                value = hit
-                break
-            charge(1)
-
-            sold = sold_matching_from_rationing(rationing, economy.n_items)
-            unsold = [i for i in economy.buyers if not sold.covers_buyer(i)]
-            demands = {i: demand_set(economy, prices, rationing, i) for i in unsold}
-            situation = DemandSituation(demands)
-            matched = max_matching(situation)
-            if len(matched) == len(situation.demanders()):
-                profits = tuple(
-                    Fraction(indirect_utility(economy, prices, rationing, i))
-                    for i in economy.buyers
-                )
-                value = _NodeValue(
-                    profits, tuple(Fraction(p) for p in prices), 1, 1, Fraction(1)
-                )
-                break
-
-            x_min = mods(situation, matched)
-            xbar = [a for a in sorted(x_min) if prices[a] == economy.upper_bounds[a]]
-            if not xbar:
-                prices = tuple(
-                    p + 1 if a in x_min else p for a, p in enumerate(prices)
-                )
-                continue
-
-            item = xbar[0]
-            entrants = sorted(
-                i for i in unsold if item in demands[i] and demands[i] <= x_min
-            )
-            k = len(entrants)
-            prof = [Fraction(0)] * economy.n_buyers
-            prix = [Fraction(0)] * economy.n_items
-            nodes, leaves, mass = 1, 0, Fraction(0)
-            for winner in entrants:
-                child = visit(prices, record_sale(rationing, winner, item))
-                for idx, x in enumerate(child.profits):
-                    prof[idx] += x
-                for idx, x in enumerate(child.prices):
-                    prix[idx] += x
-                nodes += child.nodes
-                leaves += child.leaves
-                mass += child.mass / k
-            value = _NodeValue(
-                tuple(x / k for x in prof),
-                tuple(x / k for x in prix),
-                nodes,
-                leaves,
-                mass,
-            )
-            break
-
-        # Price-raise chains were walked iteratively; memoise every node
-        # on the way back out, each one node bigger than its successor.
-        for key in reversed(chain):
-            memo[key] = value
-            value = replace(value, nodes=value.nodes + 1)
-        return memo[chain[0]]
-
-    root = AllocationSituation.root(economy)
-    result = visit(root.prices, root.rationing)
-    if result.mass != 1:
+    value, nodes, leaves = _walk_lottery_tree(economy, node_limit, payoff)
+    n = economy.n_buyers
+    mass = value[-1]
+    if mass != 1:
         raise RuntimeError("leaf probabilities do not sum to one")  # unreachable
     return ExpectationReport(
-        expected_profit={i: result.profits[i - 1] for i in economy.buyers},
-        expected_price={a: result.prices[a] for a in economy.items},
-        tree_stats=TreeStats(result.nodes, result.leaves, result.mass),
+        expected_profit={i: value[i - 1] for i in economy.buyers},
+        expected_price={a: value[n + a] for a in economy.items},
+        tree_stats=TreeStats(nodes, leaves, mass),
     )
 
 

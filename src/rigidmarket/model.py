@@ -184,6 +184,10 @@ class Allocation:
         return {a: i for i, a in enumerate(self.assignment, start=1) if a != DUMMY}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_economy(
     item_names: Sequence[str],
     valuations: Sequence[Sequence[int]],
@@ -196,7 +200,8 @@ def validate_economy(
     :class:`EconomyValidationError` listing all problems at once; error
     messages are prefixed with one of the stable codes
     ``NonZeroDummyValuation``, ``NonZeroDummyBounds``, ``BoundsCrossed``,
-    ``NegativeEntry`` or ``ShapeError``.
+    ``NegativeEntry``, ``NonIntegerEntry`` (any entry that is not an
+    ``int``, or is a ``bool``) or ``ShapeError``.
     """
     errors: list[str] = []
     names = tuple(item_names)
@@ -216,6 +221,13 @@ def validate_economy(
             errors.append(f"ShapeError: valuation row of buyer {i} has wrong length")
             raise EconomyValidationError(errors)
         rows.append(row)
+        if set(map(type, row)) - {int}:
+            errors += [
+                f"NonIntegerEntry: valuation of buyer {i} for item {a} is {v!r}"
+                for a, v in enumerate(row)
+                if not _is_int(v)
+            ]
+            continue
         if row and row[DUMMY] != 0:
             errors.append(f"NonZeroDummyValuation: buyer {i} values the dummy at {row[DUMMY]}")
         for a, v in enumerate(row):
@@ -227,6 +239,9 @@ def validate_economy(
     if m1 and (lower[DUMMY] != 0 or upper[DUMMY] != 0):
         errors.append("NonZeroDummyBounds: the dummy item must have bounds fixed at 0")
     for a in range(m1):
+        if not (_is_int(lower[a]) and _is_int(upper[a])):
+            errors.append(f"NonIntegerEntry: bounds of item {a} are {lower[a]!r}, {upper[a]!r}")
+            continue
         if lower[a] < 0 or upper[a] < 0:
             errors.append(f"NegativeEntry: bounds of item {a} include a negative value")
         if lower[a] > upper[a]:
@@ -244,25 +259,33 @@ def economy_from_dict(data: Mapping) -> Economy:
     ``valuations`` (one row per buyer over real items), ``lower_bounds``
     and ``upper_bounds`` (over real items).  The dummy item is implicit.
     """
+    if not isinstance(data, Mapping):
+        raise EconomyValidationError(["ShapeError: an economy must be a JSON object"])
     errors = []
     for key in ("items", "buyers", "valuations", "lower_bounds", "upper_bounds"):
         if key not in data:
             errors.append(f"ShapeError: missing field {key!r}")
+        elif key != "buyers" and not isinstance(data[key], list):
+            errors.append(f"ShapeError: field {key!r} must be a list")
     if errors:
         raise EconomyValidationError(errors)
     items = list(data["items"])
+    if not all(isinstance(name, str) for name in items):
+        raise EconomyValidationError(["ShapeError: item names must be strings"])
     if DUMMY_NAME in items:
         raise EconomyValidationError(
             [f"ShapeError: item name {DUMMY_NAME!r} is reserved for the implicit dummy"]
         )
     n = data["buyers"]
     valuations = data["valuations"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise EconomyValidationError(["ShapeError: 'buyers' must be a non-negative integer"])
     if len(valuations) != n:
         raise EconomyValidationError(
             [f"ShapeError: expected {n} valuation rows, found {len(valuations)}"]
         )
+    if not all(isinstance(row, list) for row in valuations):
+        raise EconomyValidationError(["ShapeError: every valuation row must be a list"])
     names = (DUMMY_NAME, *items)
     rows = [(0, *row) for row in valuations]
     lower = (0, *data["lower_bounds"])

@@ -6,7 +6,9 @@ true one, which makes the deception undetectable from her report
 sequence.  Her payoff is still scored with her true values: the expected
 profit of a strategy is the probability-weighted true net benefit of
 what she ends up buying, over all lottery outcomes of the run driven by
-the reported values.
+the reported values.  It is computed by the same lottery-tree walk as
+:func:`~rigidmarket.expectation.expected_values`, with that true net
+benefit as the payoff.
 
 With two buyers truthful reporting is optimal, and the closed-form case
 analysis in :func:`two_buyer_case_analysis` says exactly what the
@@ -22,23 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NotTwoBuyers, SizeGuard, TreeSizeExceeded
-from .matching import max_matching
+from .errors import NotTwoBuyers, SizeGuard
 from .mechanism import rm
-from .model import (
-    DUMMY,
-    DemandSituation,
-    Economy,
-    RationingSystem,
-    demand_set,
-)
-from .expectation import (
-    DEFAULT_NODE_LIMIT,
-    expected_values,
-    record_sale,
-    sold_matching_from_rationing,
-)
-from .overdemand import mods
+from .model import DUMMY, Economy, RationingSystem, demand_set
+from .expectation import DEFAULT_NODE_LIMIT, _walk_lottery_tree, expected_values
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
 
@@ -91,109 +80,29 @@ def default_value_cap(problem: ManipulationProblem) -> int:
 
 
 def _true_profit_of_run(
-    economy: Economy,
-    true_row,
-    manipulator: int,
-    node_limit: int,
-    long_step: bool,
+    economy: Economy, true_row, manipulator: int, node_limit: int
 ) -> Fraction:
     """Expected true-value profit of the manipulator in the reported economy.
 
-    Walks the same lottery tree as the expected-value recursion.  Once
-    the manipulator holds an item her payoff is settled (sold prices
-    never move), so those branches stop early; at settled leaves where
-    she holds nothing the completion matching decides what she receives.
+    Walks the reported economy's lottery tree.  Once the manipulator
+    holds an item her payoff is settled (sold prices never move), so
+    those branches stop early; at settled leaves where she holds nothing
+    the completion matching decides what she receives.
     """
-    memo: dict = {}
-    spent = [0]
 
-    def charge(n: int):
-        spent[0] += n
-        if spent[0] > node_limit:
-            raise TreeSizeExceeded(
-                f"lottery tree exceeded {node_limit} nodes", nodes=spent[0]
-            )
+    def early(prices, sold):
+        bought = sold.buyer_to_item.get(manipulator)
+        if bought is not None:
+            return (Fraction(true_row[bought] - prices[bought]),)
+        return None
 
-    def walk(prices, rationing) -> Fraction:
-        chain = []
-        while True:
-            key = (prices, rationing)
-            chain.append(key)
-            hit = memo.get(key)
-            if hit is not None:
-                charge(1)
-                value = hit
-                break
-            charge(1)
+    def payoff(state):
+        completion = rm(state.demands, state.sold, state.prices, economy.lower_bounds)
+        item = completion.buyer_to_item.get(manipulator, DUMMY)
+        return (Fraction(true_row[item] - state.prices[item]),)
 
-            sold = sold_matching_from_rationing(rationing, economy.n_items)
-            bought = sold.buyer_to_item.get(manipulator)
-            if bought is not None:
-                value = Fraction(true_row[bought] - prices[bought])
-                break
-
-            unsold = [i for i in economy.buyers if not sold.covers_buyer(i)]
-            demands = {i: demand_set(economy, prices, rationing, i) for i in unsold}
-            situation = DemandSituation(demands)
-            matched = max_matching(situation)
-            if len(matched) == len(situation.demanders()):
-                completion = rm(demands, sold, prices, economy.lower_bounds)
-                item = completion.buyer_to_item.get(manipulator, DUMMY)
-                value = Fraction(true_row[item] - prices[item])
-                break
-
-            x_min = mods(situation, matched)
-            xbar = [a for a in sorted(x_min) if prices[a] == economy.upper_bounds[a]]
-            if not xbar:
-                step = 1
-                if long_step:
-                    step = _stable_price_step(economy, prices, demands, x_min, unsold, rationing)
-                prices = tuple(
-                    p + step if a in x_min else p for a, p in enumerate(prices)
-                )
-                continue
-
-            item = xbar[0]
-            entrants = sorted(
-                i for i in unsold if item in demands[i] and demands[i] <= x_min
-            )
-            total = Fraction(0)
-            for winner in entrants:
-                total += walk(prices, record_sale(rationing, winner, item))
-            value = total / len(entrants)
-            break
-
-        for key in chain:
-            memo[key] = value
-        return value
-
-    return walk(
-        economy.lower_bounds, RationingSystem.full(economy.n_buyers, economy.n_items)
-    )
-
-
-def _stable_price_step(economy, prices, demands, x_min, unsold, rationing) -> int:
-    """Largest uniform raise of the flagged set that provably repeats the round.
-
-    While every demand set is unchanged the same set gets flagged again,
-    so intermediate rounds can be skipped.  Buyers confined to the set
-    keep their demand until its net benefit falls to their best outside
-    option; a buyer straddling the boundary changes demand immediately.
-    """
-    step = min(economy.upper_bounds[a] - prices[a] for a in x_min)
-    for i in unsold:
-        d = demands[i]
-        if not d & x_min:
-            continue
-        if not d <= x_min:
-            return 1
-        row = economy.valuations[i - 1]
-        inside = max(row[a] - prices[a] for a in d)
-        outside = max(
-            row[a] - prices[a] for a in rationing.allowed[i - 1] if a not in x_min
-        )
-        step = min(step, inside - outside)
-    return max(step, 1)
+    (profit,), _, _ = _walk_lottery_tree(economy, node_limit, payoff, early)
+    return profit
 
 
 def expected_profit_under_strategy(
@@ -204,9 +113,7 @@ def expected_profit_under_strategy(
     """Expected true profit when the manipulator commits to ``strategy``."""
     reported = problem.reported_economy(strategy)
     true_row = problem.economy.valuations[problem.manipulator - 1]
-    return _true_profit_of_run(
-        reported, true_row, problem.manipulator, node_limit, long_step=False
-    )
+    return _true_profit_of_run(reported, true_row, problem.manipulator, node_limit)
 
 
 @dataclass(frozen=True)
@@ -270,9 +177,7 @@ def optimal_strategy_search(
         hit = cache.get(sig)
         if hit is None:
             reported = economy.with_valuation_row(problem.manipulator, (0, *real_values))
-            hit = _true_profit_of_run(
-                reported, true_row, problem.manipulator, node_limit, long_step=True
-            )
+            hit = _true_profit_of_run(reported, true_row, problem.manipulator, node_limit)
             cache[sig] = hit
         return hit
 
@@ -285,7 +190,7 @@ def optimal_strategy_search(
 
     truthful = Strategy.truthful(economy, problem.manipulator)
     truthful_profit = profit_of(true_row[1:]) if max(true_row) <= cap else (
-        _true_profit_of_run(economy, true_row, problem.manipulator, node_limit, True)
+        _true_profit_of_run(economy, true_row, problem.manipulator, node_limit)
     )
     if truthful_profit >= best_profit:
         best_profit = truthful_profit

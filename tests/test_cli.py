@@ -1,6 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from rigidmarket.cli import main
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_cli(capsys, *argv):
@@ -142,3 +149,57 @@ def test_invalid_inputs_exit_one(capsys, tmp_path, data_dir):
     )
     code, _, err = run_cli(capsys, "run", str(crossed))
     assert code == 1 and "BoundsCrossed" in err
+
+
+ONE_ITEM = {
+    "items": ["a"],
+    "buyers": 1,
+    "valuations": [[3]],
+    "lower_bounds": [1],
+    "upper_bounds": [2],
+}
+
+
+@pytest.mark.parametrize(
+    "document, code",
+    [
+        ({**ONE_ITEM, "valuations": [["3"]]}, "NonIntegerEntry"),
+        ({**ONE_ITEM, "valuations": [None]}, "ShapeError"),
+        ({**ONE_ITEM, "valuations": [[2.5]]}, "NonIntegerEntry"),
+        ({**ONE_ITEM, "lower_bounds": [1.5]}, "NonIntegerEntry"),
+        ({**ONE_ITEM, "buyers": True}, "ShapeError"),
+        ({**ONE_ITEM, "upper_bounds": 2}, "ShapeError"),
+        ({**ONE_ITEM, "items": [7]}, "ShapeError"),
+        (5, "ShapeError"),
+    ],
+    ids=[
+        "string_value",
+        "null_row",
+        "float_value",
+        "float_bound",
+        "bool_buyers",
+        "scalar_field",
+        "numeric_name",
+        "not_an_object",
+    ],
+)
+def test_malformed_economy_is_rejected(capsys, tmp_path, document, code):
+    path = tmp_path / "economy.json"
+    path.write_text(json.dumps(document))
+    for command in ("run", "expect"):
+        exit_code, _, err = run_cli(capsys, command, str(path))
+        assert exit_code == 1
+        assert f"invalid economy:\n  {code}: " in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("script", ["equilibrium_fuzz.py", "manipulation_scan.py"])
+def test_scripts_run_from_another_directory(tmp_path, script):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--count", "3"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

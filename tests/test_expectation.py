@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 
 from rigidmarket import (
-    AllocationSituation,
     Matching,
     RationingSystem,
     TreeSizeExceeded,
@@ -12,11 +11,15 @@ from rigidmarket import (
     enumerate_histories,
     expected_values,
     indirect_utility,
+    initial_state,
+    price_increase_step,
     record_sale,
+    refresh_demands,
     run_mapr,
     ScriptedLottery,
     sold_matching_from_rationing,
 )
+from rigidmarket.mechanism import apply_sale, gate, lottery_entrants
 
 from strategies import economies, make_economy
 
@@ -31,12 +34,6 @@ def test_rationing_sale_roundtrip():
     # barring one of three buyers leaves two allowed: no single holder
     with pytest.raises(ValueError):
         sold_matching_from_rationing(RationingSystem.full(3, 4).forbid(1, 2), 4)
-
-
-def test_root_allocation_situation(market):
-    root = AllocationSituation.root(market)
-    assert root.prices == market.lower_bounds
-    assert len(root.sold()) == 0
 
 
 def test_expected_values_running_example(market):
@@ -93,6 +90,46 @@ def test_tree_size_guard(market):
     with pytest.raises(TreeSizeExceeded) as exc:
         enumerate_histories(market, max_leaves=1)
     assert exc.value.leaves == 2
+
+
+def live_round_count(economy):
+    """Rounds over every history of the live mechanism, one raise at a time."""
+    rounds = 0
+    pending = [initial_state(economy)]
+    while pending:
+        state = refresh_demands(economy, pending.pop())
+        rounds += 1
+        x_min, xbar = gate(economy, state)
+        if x_min is None:
+            continue
+        if not xbar:
+            pending.append(price_increase_step(economy, state, x_min))
+            continue
+        for winner in lottery_entrants(state, xbar[0], x_min):
+            pending.append(apply_sale(economy, state, xbar[0], winner))
+    return rounds
+
+
+def assert_node_count_is_the_round_count(economy):
+    nodes = expected_values(economy).tree_stats.nodes
+    assert nodes == live_round_count(economy)
+    assert expected_values(economy, node_limit=nodes).tree_stats.nodes == nodes
+    with pytest.raises(TreeSizeExceeded):
+        expected_values(economy, node_limit=nodes - 1)
+
+
+@settings(max_examples=60)
+@given(economies())
+def test_node_count_matches_live_rounds(economy):
+    assert_node_count_is_the_round_count(economy)
+
+
+def test_node_count_includes_skipped_raises():
+    # both buyers keep demanding a through all ten raises of its cap room;
+    # the walker jumps them in one step but still counts every round
+    economy = make_economy([[50], [50]], [0], [10])
+    assert_node_count_is_the_round_count(economy)
+    assert expected_values(economy).tree_stats.nodes == 11 + 2
 
 
 @settings(max_examples=60)

@@ -79,15 +79,16 @@ def test_profit_matches_history_oracle(economy):
 @settings(max_examples=40)
 @given(economies(max_buyers=3, max_real_items=2, max_value=6))
 def test_long_step_evaluator_is_exact(economy):
+    # the walker jumps whole stable price stretches; the oracle plays
+    # every round of the live mechanism
     problem = ManipulationProblem(economy, 1)
     truth = economy.valuations[0]
     rng = random.Random(economy.bound_spread() + economy.n_buyers)
     for _ in range(3):
         row = (0, *[rng.randint(0, 7) for _ in economy.real_items])
         reported = economy.with_valuation_row(1, row)
-        plain = _true_profit_of_run(reported, truth, 1, 10**6, long_step=False)
-        jumped = _true_profit_of_run(reported, truth, 1, 10**6, long_step=True)
-        assert plain == jumped
+        jumped = _true_profit_of_run(reported, truth, 1, 10**6)
+        assert jumped == history_oracle(problem, Strategy(row))
 
 
 @settings(max_examples=25)
