@@ -15,30 +15,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rigidmarket import (  # noqa: E402
-    TreeSizeExceeded,
-    check_cwe,
-    enumerate_histories,
-    validate_economy,
-)
-
-ITEM_LETTERS = "abcdefgh"
-
-
-def random_economy(rng, max_buyers=5, max_real=4, max_value=8):
-    n = rng.randint(1, max_buyers)
-    m = rng.randint(1, max_real)
-    names = ("o",) + tuple(ITEM_LETTERS[:m])
-    rows = [
-        tuple([0] + [rng.randint(0, max_value) for _ in range(m)]) for _ in range(n)
-    ]
-    lower = [0]
-    upper = [0]
-    for _ in range(m):
-        lo = rng.randint(0, max_value)
-        lower.append(lo)
-        upper.append(rng.randint(lo, max_value))
-    return validate_economy(names, rows, tuple(lower), tuple(upper))
+from rigidmarket import TreeSizeExceeded, check_cwe, enumerate_histories  # noqa: E402
+from random_market import random_economy  # noqa: E402
 
 
 def main():
@@ -52,7 +30,9 @@ def main():
     histories = 0
     skipped = 0
     for k in range(args.count):
-        economy = random_economy(rng)
+        n = rng.randint(1, 5)
+        m = rng.randint(1, 4)
+        economy = random_economy(rng, n, m)
         try:
             leaves = enumerate_histories(economy, max_leaves=args.max_leaves)
         except TreeSizeExceeded:

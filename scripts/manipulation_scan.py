@@ -22,25 +22,8 @@ from rigidmarket import (  # noqa: E402
     SizeGuard,
     TreeSizeExceeded,
     optimal_strategy_search,
-    validate_economy,
 )
-
-ITEM_LETTERS = "abcdefgh"
-
-
-def random_economy(rng, n_buyers, n_real, max_value=8):
-    names = ("o",) + tuple(ITEM_LETTERS[:n_real])
-    rows = [
-        tuple([0] + [rng.randint(0, max_value) for _ in range(n_real)])
-        for _ in range(n_buyers)
-    ]
-    lower = [0]
-    upper = [0]
-    for _ in range(n_real):
-        lo = rng.randint(0, max_value)
-        lower.append(lo)
-        upper.append(rng.randint(lo, max_value))
-    return validate_economy(names, rows, tuple(lower), tuple(upper))
+from random_market import random_economy  # noqa: E402
 
 
 def main():

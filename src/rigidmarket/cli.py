@@ -18,15 +18,16 @@ from fractions import Fraction
 
 from .equilibrium import CONDITION_NAMES, check_cwe
 from .errors import EconomyValidationError, SizeGuard, TreeSizeExceeded
-from .expectation import enumerate_histories, expected_values
+from .expectation import DEFAULT_NODE_LIMIT, enumerate_histories, expected_values
 from .matching import max_matching
 from .mechanism import ScriptedLottery, SeededLottery, run_mapr
 from .model import (
     Allocation,
     RationingSystem,
+    _is_int,
     demand_situation,
+    economy_from_dict,
     is_admissible,
-    load_economy,
 )
 from .strategy import (
     ManipulationProblem,
@@ -40,23 +41,69 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+class CliError(Exception):
+    pass
 
 
-def _load(path):
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """Comma-separated integers; empty parts are skipped."""
+    values = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        try:
+            values.append(int(part))
+        except ValueError:
+            raise CliError(f"NonIntegerEntry: {flag}: {part!r} is not an integer")
+    return values
+
+
+def _read_json(path):
+    """The decoded JSON document at ``path``; any read or decode failure is a CliError."""
     try:
-        return load_economy(path)
+        with open(path) as fh:
+            return json.load(fh)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path} is not UTF-8 text: {exc}")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}")
+
+
+def _load(path):
+    try:
+        return economy_from_dict(_read_json(path))
     except EconomyValidationError as exc:
         raise CliError("invalid economy:\n  " + "\n  ".join(exc.errors))
 
 
-class CliError(Exception):
-    pass
+def _tuple_error(message: str) -> CliError:
+    return CliError("invalid tuple file:\n  " + message)
+
+
+def _read_tuple(data):
+    """The prices, rationing zeros and allocation names of a tuple file, type-checked."""
+    if not isinstance(data, dict):
+        raise _tuple_error("ShapeError: a tuple must be a JSON object")
+    for key in ("prices", "rationing_zeros", "allocation"):
+        if key not in data:
+            raise _tuple_error(f"ShapeError: missing field {key!r}")
+        if not isinstance(data[key], list):
+            raise _tuple_error(f"ShapeError: field {key!r} must be a list")
+    prices, zeros = data["prices"], data["rationing_zeros"]
+    for price in prices:
+        if not _is_int(price):
+            raise _tuple_error(f"NonIntegerEntry: price {price!r} is not an integer")
+    for zero in zeros:
+        if not (isinstance(zero, list) and len(zero) == 2):
+            raise _tuple_error(f"ShapeError: rationing zero {zero!r} is not a [buyer, item] pair")
+        if not _is_int(zero[0]):
+            raise _tuple_error(f"NonIntegerEntry: rationing buyer {zero[0]!r} is not an integer")
+    return prices, zeros, data["allocation"]
 
 
 def _full_prices(economy, real_prices):
@@ -85,7 +132,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None and args.scripted_winners is not None:
         raise CliError("--seed and --scripted-winners are mutually exclusive")
     if args.scripted_winners is not None:
-        policy = ScriptedLottery(_parse_int_list(args.scripted_winners))
+        policy = ScriptedLottery(_parse_int_list(args.scripted_winners, "--scripted-winners"))
     else:
         policy = SeededLottery(args.seed if args.seed is not None else 0)
     outcome = run_mapr(economy, policy)
@@ -99,20 +146,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     economy = _load(args.economy)
-    try:
-        with open(args.tuple) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"no such file: {args.tuple}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed JSON in {args.tuple}: {exc}")
-    for key in ("prices", "rationing_zeros", "allocation"):
-        if key not in data:
-            raise CliError(f"tuple file is missing field {key!r}")
-
-    prices = _full_prices(economy, data["prices"])
-    rationing = _rationing_from_zeros(economy, data["rationing_zeros"])
-    names = data["allocation"]
+    real_prices, zeros, names = _read_tuple(_read_json(args.tuple))
+    prices = _full_prices(economy, real_prices)
+    rationing = _rationing_from_zeros(economy, zeros)
     if len(names) != economy.n_buyers:
         raise CliError(f"allocation must list one item per buyer ({economy.n_buyers})")
     try:
@@ -161,7 +197,7 @@ def _cmd_manipulate(args) -> int:
     economy = _load(args.economy)
     problem = ManipulationProblem(economy, args.buyer)
     if args.strategy is not None:
-        values = _parse_int_list(args.strategy)
+        values = _parse_int_list(args.strategy, "--strategy")
         if len(values) != economy.n_items - 1:
             raise CliError(
                 f"--strategy needs {economy.n_items - 1} values (real items only)"
@@ -186,7 +222,7 @@ def _cmd_manipulate(args) -> int:
 def _cmd_matching(args) -> int:
     economy = _load(args.economy)
     if args.prices is not None:
-        prices = _full_prices(economy, _parse_int_list(args.prices))
+        prices = _full_prices(economy, _parse_int_list(args.prices, "--prices"))
     else:
         prices = economy.lower_bounds
     if not is_admissible(economy, prices):
@@ -237,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expect", help="exact expected profits and prices")
     p.add_argument("economy")
     p.add_argument("--histories", action="store_true", help="also list every terminal history")
-    p.add_argument("--node-limit", type=int, default=1_000_000)
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.set_defaults(func=_cmd_expect)
 
     p = sub.add_parser("manipulate", help="misreport analysis for one buyer")
@@ -245,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--buyer", type=int, default=1)
     p.add_argument("--cap", type=int, default=None, help="search box edge per item")
     p.add_argument("--strategy", default=None, help="evaluate one reported value vector")
-    p.add_argument("--node-limit", type=int, default=1_000_000)
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.set_defaults(func=_cmd_manipulate)
 
     p = sub.add_parser("matching", help="maximum matching of a demand situation")

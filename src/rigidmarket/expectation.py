@@ -11,12 +11,16 @@ ways:
   buyer's demand from scratch and asks the mechanism's own
   :func:`~rigidmarket.mechanism.gate` and
   :func:`~rigidmarket.mechanism.lottery_entrants` whether to settle,
-  raise prices, or hold a lottery, whose branches it averages.  The
-  strategy module's profit evaluation is the same walk with another
-  payoff.
+  raise prices, or hold a lottery.  The value is the sum of each leaf's
+  payoff times its probability.  The strategy module's profit evaluation
+  is the same walk with another payoff.
 * :func:`enumerate_histories` forks the live mechanism state at every
   lottery, with the mechanism's incremental demand refresh, and collects
   one terminal tuple per complete history, with its probability.
+
+Both walks keep their open nodes on an explicit stack, depth first with
+the entrants in ascending order, so a tree of any depth stays within
+Python's recursion limit and only the node and leaf limits bound it.
 
 The two routes share the round decision but not the demand path, so
 their agreement, which the tests check in aggregate and leaf count,
@@ -125,64 +129,56 @@ def _walk_lottery_tree(
     payoff: Callable[[MechanismState], tuple[Fraction, ...]],
     early: Optional[Callable] = None,
 ) -> tuple[tuple[Fraction, ...], int, int]:
-    """Average ``payoff`` over the mechanism's lottery tree: (value, nodes, leaves).
+    """Expected ``payoff`` over the mechanism's lottery tree: (value, nodes, leaves).
 
-    A node is one round.  ``early(prices, sold)``, when given, may fix a
-    node's value before its round is played.  Otherwise every unsold
-    buyer reports afresh on the sale-encoding rationing, the mechanism's
-    own :func:`gate` decides the round, and a settled node is worth
-    ``payoff`` of its state.  Price raises jump by
-    :func:`_stable_price_step`, and the skipped rounds still count as
-    nodes against ``node_limit``.  A lottery node's value is the mean of
-    its children's.
+    A node is one round, popped from a stack with its probability.
+    ``early(prices, sold)``, when given, may fix a node's value before
+    its round is played.  Otherwise every unsold buyer reports afresh on
+    the sale-encoding rationing, the mechanism's own :func:`gate` decides
+    the round, and a settled node is worth ``payoff`` of its state.
+    Price raises jump by :func:`_stable_price_step`, and the skipped
+    rounds still count as nodes against ``node_limit``.  A lottery node
+    pushes one child per entrant, each with an equal share of its
+    probability.  The value is the probability-weighted sum of the leaves.
     """
     nodes = leaves = 0
-
-    def visit(prices, rationing, sold):
-        nonlocal nodes, leaves
-        while True:
-            nodes += 1
-            if nodes > node_limit:
-                raise TreeSizeExceeded(
-                    f"lottery tree exceeded {node_limit} nodes", nodes=nodes
-                )
-            if early is not None:
-                value = early(prices, sold)
-                if value is not None:
-                    leaves += 1
-                    return value
-
+    total = None
+    full = RationingSystem.full(economy.n_buyers, economy.n_items)
+    stack = [(economy.lower_bounds, full, Matching(), Fraction(1))]
+    while stack:
+        prices, rationing, sold, probability = stack.pop()
+        nodes += 1
+        if nodes > node_limit:
+            raise TreeSizeExceeded(f"lottery tree exceeded {node_limit} nodes", nodes=nodes)
+        value = None if early is None else early(prices, sold)
+        if value is None:
             demands = {
                 i: demand_set(economy, prices, rationing, i)
                 for i in economy.buyers
                 if not sold.covers_buyer(i)
             }
-            state = MechanismState(
-                0, prices, sold, rationing, active=frozenset(), demands=demands
-            )
+            state = MechanismState(0, prices, sold, rationing, active=frozenset(), demands=demands)
             x_min, xbar = gate(economy, state)
             if x_min is None:
-                leaves += 1
-                return payoff(state)
-            if not xbar:
+                value = payoff(state)
+            elif not xbar:
                 step = _stable_price_step(economy, prices, demands, x_min, rationing)
                 nodes += step - 1
-                prices = tuple(
-                    p + step if a in x_min else p for a, p in enumerate(prices)
-                )
+                raised = tuple(p + step if a in x_min else p for a, p in enumerate(prices))
+                stack.append((raised, rationing, sold, probability))
                 continue
-
-            item = xbar[0]
-            children = []
-            for winner in lottery_entrants(state, item, x_min):
-                sold_on = Matching(sold.pairs() + ((winner, item),))
-                children.append(visit(prices, record_sale(rationing, winner, item), sold_on))
-            k = len(children)
-            return tuple(sum(column) / k for column in zip(*children))
-
-    full = RationingSystem.full(economy.n_buyers, economy.n_items)
-    root = visit(economy.lower_bounds, full, Matching())
-    return root, nodes, leaves
+            else:
+                item = xbar[0]
+                entrants = lottery_entrants(state, item, x_min)
+                share = probability / len(entrants)
+                for winner in reversed(entrants):
+                    sold_on = Matching(sold.pairs() + ((winner, item),))
+                    stack.append((prices, record_sale(rationing, winner, item), sold_on, share))
+                continue
+        leaves += 1
+        weighted = [probability * v for v in value]
+        total = weighted if total is None else [t + w for t, w in zip(total, weighted)]
+    return tuple(total), nodes, leaves
 
 
 def expected_values(
@@ -235,35 +231,33 @@ def enumerate_histories(
 
     Drives the actual mechanism engine, forking the state at each
     lottery; probabilities multiply ``1/k`` along the way and sum to one.
+    Leaves come in depth-first order, the entrants of each lottery in
+    ascending order.
     """
     leaves: list[HistoryLeaf] = []
-
-    def walk(state: MechanismState, probability: Fraction, winners: tuple[int, ...]):
-        while True:
-            state = refresh_demands(economy, state)
-            x_min, xbar = gate(economy, state)
-            if x_min is None:
-                _, allocation = complete_run(economy, state)
-                leaves.append(
-                    HistoryLeaf(probability, state.prices, state.rationing, allocation, winners)
+    stack = [(initial_state(economy), Fraction(1), ())]
+    while stack:
+        state, probability, winners = stack.pop()
+        state = refresh_demands(economy, state)
+        x_min, xbar = gate(economy, state)
+        if x_min is None:
+            _, allocation = complete_run(economy, state)
+            leaves.append(
+                HistoryLeaf(probability, state.prices, state.rationing, allocation, winners)
+            )
+            if max_leaves is not None and len(leaves) > max_leaves:
+                raise TreeSizeExceeded(
+                    f"history enumeration exceeded {max_leaves} leaves", leaves=len(leaves)
                 )
-                if max_leaves is not None and len(leaves) > max_leaves:
-                    raise TreeSizeExceeded(
-                        f"history enumeration exceeded {max_leaves} leaves",
-                        leaves=len(leaves),
-                    )
-                return
-            if not xbar:
-                state = price_increase_step(economy, state, x_min)
-                continue
+        elif not xbar:
+            stack.append((price_increase_step(economy, state, x_min), probability, winners))
+        else:
             item = xbar[0]
             entrants = lottery_entrants(state, item, x_min)
             share = probability / len(entrants)
-            for winner in entrants:
-                walk(apply_sale(economy, state, item, winner), share, winners + (winner,))
-            return
-
-    walk(initial_state(economy), Fraction(1), ())
+            for winner in reversed(entrants):
+                child = apply_sale(economy, state, item, winner)
+                stack.append((child, share, winners + (winner,)))
     return tuple(leaves)
 
 

@@ -103,7 +103,9 @@ class ScriptedLottery:
 class MechanismState:
     """Snapshot between rounds: everything the seller and buyers remember.
 
-    ``demands`` holds each buyer's last settled report.  ``active`` is the
+    ``demands`` holds the last settled report of each buyer still in the
+    market: a lottery winner's report leaves with its buyer, so after a
+    refresh its keys are exactly the unsold buyers.  ``active`` is the
     set of buyers who must report this round: the steps that open a round
     leave out every buyer whose recorded demand provably cannot change,
     so that report is carried over as it stands.
@@ -137,10 +139,11 @@ def refresh_demands(economy: Economy, state: MechanismState) -> MechanismState:
 
     Active buyers report at current prices; any of them demanding a sold
     item loses permission for exactly those items and reports again.
-    Settles within one pass per sold item.  Every other buyer keeps the
-    report in ``state.demands``; :func:`price_increase_step` and
-    :func:`apply_sale` only leave a buyer inactive when that report is
-    still its demand and touches no sold item.
+    Settles within one pass per sold item.  Every other unsold buyer
+    keeps its report in ``state.demands``; :func:`price_increase_step`
+    and :func:`apply_sale` only leave a buyer inactive when that report
+    is still its demand and touches no sold item.  Afterwards
+    ``demands`` has one report per unsold buyer.
     """
     demands = dict(state.demands)
     rationing = state.rationing
@@ -166,11 +169,11 @@ def refresh_demands(economy: Economy, state: MechanismState) -> MechanismState:
 def gate(economy: Economy, state: MechanismState):
     """Post-refresh seller computation: minimal over-demanded set, if any.
 
-    Returns (x_min, xbar); x_min is None when every unsold buyer that
-    insists on real items can be matched, i.e. the run may settle.
+    Returns (x_min, xbar); x_min is None when every buyer in
+    ``state.demands`` (the unsold ones) that insists on real items can be
+    matched, i.e. the run may settle.
     """
-    unsold = state.unsold_buyers(economy)
-    situation = DemandSituation({i: state.demands[i] for i in unsold})
+    situation = DemandSituation(state.demands)
     matched = max_matching(situation)
     if len(matched) == len(situation.demanders()):
         return None, ()
@@ -184,11 +187,10 @@ def price_increase_step(
 ) -> MechanismState:
     """Raise every price in x_min by one unit and open the next round.
 
-    Only unsold buyers whose recorded demand meets x_min (and any buyer
-    with no recorded demand) report again.  That is exact: an item
-    outside x_min keeps its price, and items in x_min only lose net
-    benefit, so a demand set disjoint from x_min keeps the same best
-    items.  ``state`` must carry the settled reports of its round.
+    Only buyers whose recorded demand meets x_min report again.  That is
+    exact: an item outside x_min keeps its price, and items in x_min only
+    lose net benefit, so a demand set disjoint from x_min keeps the same
+    best items.  ``state`` must carry the settled reports of its round.
     """
     if not x_min:
         raise ValueError("price increase needs a nonempty item set")
@@ -202,23 +204,13 @@ def price_increase_step(
         state,
         t=state.t + 1,
         prices=prices,
-        active=frozenset(
-            i
-            for i in state.unsold_buyers(economy)
-            if i not in state.demands or not x_min.isdisjoint(state.demands[i])
-        ),
+        active=frozenset(i for i, d in state.demands.items() if not x_min.isdisjoint(d)),
     )
 
 
 def lottery_entrants(state: MechanismState, item: int, x_min: frozenset[int]) -> tuple[int, ...]:
     """Buyers eligible to draw: they demand the item and nothing outside x_min."""
-    return tuple(
-        sorted(
-            i
-            for i, d in state.demands.items()
-            if not state.sold.covers_buyer(i) and item in d and d <= x_min
-        )
-    )
+    return tuple(sorted(i for i, d in state.demands.items() if item in d and d <= x_min))
 
 
 def apply_sale(
@@ -226,19 +218,16 @@ def apply_sale(
 ) -> MechanismState:
     """Sell ``item`` to ``winner`` and open the next round.
 
-    Only unsold non-winners whose recorded demand contains the item (and
-    any buyer with no recorded demand) report again.  That is exact:
-    prices do not move at a sale, so every other buyer's demand is
+    The winner leaves the market with its report.  Only the remaining
+    buyers whose recorded demand contains the item report again.  That is
+    exact: prices do not move at a sale, so every other buyer's demand is
     unchanged and still touches no sold item.  ``state`` must carry the
     settled reports of its round.
     """
     sold = Matching(state.sold.pairs() + ((winner, item),))
-    active = frozenset(
-        i
-        for i in state.unsold_buyers(economy)
-        if i != winner and (i not in state.demands or item in state.demands[i])
-    )
-    return replace(state, t=state.t + 1, sold=sold, active=active)
+    demands = {i: d for i, d in state.demands.items() if i != winner}
+    active = frozenset(i for i, d in demands.items() if item in d)
+    return replace(state, t=state.t + 1, sold=sold, active=active, demands=demands)
 
 
 def lottery_step(
@@ -269,7 +258,8 @@ def rm(
 ) -> Matching:
     """Terminal completion: match remaining buyers, selling every marked-up item.
 
-    ``demands`` covers the buyers that have not bought; the result is
+    ``demands`` covers the buyers that have not bought, as
+    ``MechanismState.demands`` does after a refresh; the result is
     disjoint from ``sold``.  First the unsold items priced above their
     lower bound are matched on the demands restricted to them, pinning a
     taker for each; that matching is then re-grown to maximum on the full
@@ -439,7 +429,6 @@ class MaprOutcome:
         return tuple(e.winner for e in self.trace.events)
 
 
-_NO_REPORT: frozenset[int] = frozenset()
 _UNSEEN = object()
 
 
@@ -474,10 +463,10 @@ class _TraceRows:
         return self._u_sets
 
     def _demands_of(self, state: MechanismState) -> tuple:
-        sold, demands = state.sold.buyer_to_item, state.demands
+        demands = state.demands
         changed = False
         for k, i in enumerate(self._buyers):
-            report = None if i in sold else demands.get(i, _NO_REPORT)
+            report = demands.get(i)
             if report is not self._reports[k]:
                 self._reports[k] = report
                 self._d_cells[k] = None if report is None else tuple(sorted(report))
@@ -501,13 +490,14 @@ class _TraceRows:
 
 
 def complete_run(economy: Economy, state: MechanismState) -> tuple[Matching, Allocation]:
-    """Terminal step: run the completion matching and assemble the allocation."""
-    unsold = state.unsold_buyers(economy)
-    remaining = {i: state.demands[i] for i in unsold}
-    completion = rm(remaining, state.sold, state.prices, economy.lower_bounds)
+    """Terminal step: run the completion matching and assemble the allocation.
+
+    ``state`` must be settled, so ``state.demands`` are the unsold buyers.
+    """
+    completion = rm(state.demands, state.sold, state.prices, economy.lower_bounds)
     final = Matching(state.sold.pairs() + completion.pairs())
-    for i in unsold:
-        if DUMMY not in remaining[i] and not final.covers_buyer(i):
+    for i, d in state.demands.items():
+        if DUMMY not in d and not final.covers_buyer(i):
             raise RuntimeError(f"completion left demander {i} unserved")  # unreachable
     return final, matching_to_allocation(final, economy.n_buyers)
 

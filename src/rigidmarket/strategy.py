@@ -157,11 +157,14 @@ def optimal_strategy_search(
     Every vector in the box is evaluated (rows with provably identical
     demand behaviour share one tree evaluation).  Ties break toward the
     truthful strategy when it attains the maximum, otherwise toward the
-    lexicographically smallest vector.
+    lexicographically smallest vector.  A negative ``cap`` is a
+    ``ValueError``.
     """
     economy = problem.economy
     if cap is None:
         cap = default_value_cap(problem)
+    if cap < 0:
+        raise ValueError(f"the value cap must be non-negative, got {cap}")
     m = economy.n_items - 1
     total = (cap + 1) ** m
     if total > enumeration_limit:

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from rigidmarket.cli import main
+from rigidmarket.cli import build_parser, main
+from rigidmarket.expectation import DEFAULT_NODE_LIMIT
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -191,6 +192,87 @@ def test_malformed_economy_is_rejected(capsys, tmp_path, document, code):
         assert exit_code == 1
         assert f"invalid economy:\n  {code}: " in err
         assert "Traceback" not in err
+
+
+TERMINAL_TUPLE = {
+    "prices": [5, 4, 4, 7],
+    "rationing_zeros": [[1, "c"], [3, "c"]],
+    "allocation": ["o", "c", "b", "a", "d"],
+}
+
+
+@pytest.mark.parametrize(
+    "document, code",
+    [
+        (5, "ShapeError"),
+        ({**TERMINAL_TUPLE, "prices": 5}, "ShapeError"),
+        ({**TERMINAL_TUPLE, "rationing_zeros": 5}, "ShapeError"),
+        ({**TERMINAL_TUPLE, "allocation": 5}, "ShapeError"),
+        ({**TERMINAL_TUPLE, "rationing_zeros": [[1]]}, "ShapeError"),
+        ({**TERMINAL_TUPLE, "prices": [5.5, 4, 4, 7]}, "NonIntegerEntry"),
+        ({**TERMINAL_TUPLE, "prices": ["x", 4, 4, 7]}, "NonIntegerEntry"),
+        ({**TERMINAL_TUPLE, "prices": [True, 4, 4, 7]}, "NonIntegerEntry"),
+        ({**TERMINAL_TUPLE, "rationing_zeros": [["1", "c"]]}, "NonIntegerEntry"),
+    ],
+    ids=[
+        "not_an_object",
+        "scalar_prices",
+        "scalar_zeros",
+        "scalar_allocation",
+        "short_zero",
+        "float_price",
+        "string_price",
+        "bool_price",
+        "string_buyer",
+    ],
+)
+def test_malformed_tuple_is_rejected(capsys, tmp_path, data_dir, document, code):
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(document))
+    exit_code, _, err = run_cli(
+        capsys, "check", str(data_dir / "example_market.json"), "--tuple", str(path)
+    )
+    assert exit_code == 1
+    assert f"invalid tuple file:\n  {code}: " in err
+    assert "Traceback" not in err
+
+
+def test_unreadable_files_exit_one(capsys, tmp_path, data_dir):
+    code, _, err = run_cli(capsys, "run", str(tmp_path))
+    assert code == 1 and "cannot read" in err
+
+    code, _, err = run_cli(
+        capsys, "check", str(data_dir / "example_market.json"), "--tuple", str(tmp_path)
+    )
+    assert code == 1 and "cannot read" in err
+
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run_cli(capsys, "expect", str(binary))
+    assert code == 1 and "not UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["manipulate", "--strategy", "4,3,x,7"], "NonIntegerEntry: --strategy: 'x' is not"),
+        (["matching", "--prices", "5,4.5,3,5"], "NonIntegerEntry: --prices: '4.5' is not"),
+        (["run", "--scripted-winners", "two"], "NonIntegerEntry: --scripted-winners: 'two'"),
+        (["manipulate", "--cap", "-1"], "the value cap must be non-negative"),
+    ],
+    ids=["strategy", "prices", "scripted_winners", "negative_cap"],
+)
+def test_flag_errors_are_coded(capsys, data_dir, argv, message):
+    command, *flags = argv
+    code, _, err = run_cli(capsys, command, str(data_dir / "example_market.json"), *flags)
+    assert code == 1
+    assert message in err
+
+
+def test_node_limit_defaults_share_one_constant():
+    parser = build_parser()
+    for command in ("expect", "manipulate"):
+        assert parser.parse_args([command, "x.json"]).node_limit == DEFAULT_NODE_LIMIT
 
 
 @pytest.mark.parametrize("script", ["equilibrium_fuzz.py", "manipulation_scan.py"])

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import json
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,7 +21,9 @@ from rigidmarket import (
     run_mapr,
     ScriptedLottery,
     sold_matching_from_rationing,
+    validate_economy,
 )
+from rigidmarket.cli import main
 from rigidmarket.mechanism import apply_sale, gate, lottery_entrants
 
 from strategies import economies, make_economy
@@ -68,7 +73,8 @@ def test_two_histories_running_example(market):
         (0, 3, 2, 1, 4),
         (0, 2, 3, 1, 4),
     }
-    assert {leaf.winners for leaf in leaves} == {(2,), (3,)}
+    # depth first, the entrants of each lottery in ascending order
+    assert [leaf.winners for leaf in leaves] == [(2,), (3,)]
     assert all(leaf.prices == (0, 5, 4, 4, 7) for leaf in leaves)
 
 
@@ -167,3 +173,58 @@ def test_leaves_replay_through_the_mechanism(economy):
         assert outcome.prices == leaf.prices
         assert outcome.allocation == leaf.allocation
         assert outcome.rationing == leaf.rationing
+
+
+DEEP_ITEMS = 50
+
+
+def deep_market_document():
+    """For each item, two buyers value only it, at 10; floor = cap = 5 everywhere.
+
+    Every item goes by a two-way lottery, one after another, so each
+    history is DEEP_ITEMS lotteries deep.
+    """
+    m = DEEP_ITEMS
+    return {
+        "items": [f"i{k}" for k in range(1, m + 1)],
+        "buyers": 2 * m,
+        "valuations": [[10 if a == k else 0 for a in range(m)] for k in range(m) for _ in (1, 2)],
+        "lower_bounds": [5] * m,
+        "upper_bounds": [5] * m,
+    }
+
+
+def stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_deep_market_hits_size_guards_not_recursion_limit(tmp_path, capsys):
+    document = deep_market_document()
+    economy = validate_economy(
+        ("o", *document["items"]),
+        [(0, *row) for row in document["valuations"]],
+        (0, *document["lower_bounds"]),
+        (0, *document["upper_bounds"]),
+    )
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(document))
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 40)
+    try:
+        with pytest.raises(TreeSizeExceeded) as exc:
+            expected_values(economy, node_limit=200)
+        assert exc.value.nodes == 201
+        with pytest.raises(TreeSizeExceeded) as exc:
+            enumerate_histories(economy, max_leaves=1)
+        assert exc.value.leaves == 2
+        code = main(["expect", str(path), "--node-limit", "200"])
+    finally:
+        sys.setrecursionlimit(old_limit)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "exceeded 200 nodes" in err
+    assert "Traceback" not in err

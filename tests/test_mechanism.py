@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidmarket import (
     DUMMY,
@@ -86,6 +87,8 @@ def test_lottery_step_entrants_and_determinism(market):
     assert next_state.prices == state.prices
     # buyer 3 lost the draw for c and must re-report; nobody else demanded c
     assert next_state.active == frozenset({3})
+    # the winner left the market with its report
+    assert 2 not in next_state.demands
 
     # the same seed always picks the same winner
     picks = {lottery_step(market, state, 3, x_min, SeededLottery(9))[1].winner for _ in range(5)}
@@ -270,6 +273,25 @@ def test_completion_contracts_on_random_terminals(economy):
             assert DUMMY in d
         else:
             assert item in d
+
+
+@settings(max_examples=50)
+@given(economies(max_buyers=5, max_real_items=4), st.integers(0, 2**16))
+def test_settled_demands_are_the_unsold_buyers(economy, seed):
+    state = initial_state(economy)
+    policy = SeededLottery(seed)
+    for _ in range(economy.bound_spread() + economy.n_items + 1):
+        state = refresh_demands(economy, state)
+        assert set(state.demands) == set(state.unsold_buyers(economy))
+        x_min, xbar = gate(economy, state)
+        if x_min is None:
+            break
+        if not xbar:
+            state = price_increase_step(economy, state, x_min)
+        else:
+            state, _ = lottery_step(economy, state, xbar[0], x_min, policy)
+    else:
+        raise AssertionError("run exceeded the round bound")
 
 
 def test_json_rows_carry_all_fields(market):

@@ -122,6 +122,11 @@ def test_search_size_guard(market):
         )
 
 
+def test_search_rejects_a_negative_cap(market):
+    with pytest.raises(ValueError, match="non-negative"):
+        optimal_strategy_search(ManipulationProblem(market, 1), cap=-1)
+
+
 def test_default_cap(market):
     problem = ManipulationProblem(market, 1)
     assert default_value_cap(problem) == 7 + 7
