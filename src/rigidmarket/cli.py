@@ -22,6 +22,7 @@ from .expectation import DEFAULT_NODE_LIMIT, enumerate_histories, expected_value
 from .matching import max_matching
 from .mechanism import ScriptedLottery, SeededLottery, run_mapr
 from .model import (
+    DUMMY,
     Allocation,
     RationingSystem,
     _is_int,
@@ -123,8 +124,18 @@ def _rationing_from_zeros(economy, zeros):
             item = economy.item_index(name)
         except KeyError:
             raise CliError(f"rationing refers to unknown item {name!r}")
+        if item == DUMMY:
+            raise CliError(
+                f"DummyForbidden: buyer {buyer} cannot be refused the dummy item {name!r}"
+            )
         rationing = rationing.forbid(buyer, item)
     return rationing
+
+
+def _node_limit(args) -> int:
+    if args.node_limit < 1:
+        raise CliError(f"LimitBelowOne: --node-limit: {args.node_limit} is below 1")
+    return args.node_limit
 
 
 def _cmd_run(args) -> int:
@@ -172,7 +183,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_expect(args) -> int:
     economy = _load(args.economy)
-    report = expected_values(economy, node_limit=args.node_limit)
+    report = expected_values(economy, node_limit=_node_limit(args))
     for i in economy.buyers:
         value = report.expected_profit[i]
         print(f"u*[{i}] = {_frac(value)} ({float(value)})")
@@ -195,6 +206,7 @@ def _cmd_expect(args) -> int:
 
 def _cmd_manipulate(args) -> int:
     economy = _load(args.economy)
+    node_limit = _node_limit(args)
     problem = ManipulationProblem(economy, args.buyer)
     if args.strategy is not None:
         values = _parse_int_list(args.strategy, "--strategy")
@@ -203,11 +215,11 @@ def _cmd_manipulate(args) -> int:
                 f"--strategy needs {economy.n_items - 1} values (real items only)"
             )
         strategy = Strategy.from_real_values(values)
-        profit = expected_profit_under_strategy(problem, strategy, node_limit=args.node_limit)
+        profit = expected_profit_under_strategy(problem, strategy, node_limit=node_limit)
         print(f"reported values: {values}")
         print(f"expected profit for buyer {args.buyer}: {_frac(profit)} ({float(profit)})")
         return 0
-    result = optimal_strategy_search(problem, cap=args.cap, node_limit=args.node_limit)
+    result = optimal_strategy_search(problem, cap=args.cap, node_limit=node_limit)
     print(f"cap: {result.cap} (searched {result.strategies_evaluated} strategies,"
           f" {result.distinct_evaluations} distinct evaluations)")
     print(f"truthful expected profit: {_frac(result.truthful_profit)}")

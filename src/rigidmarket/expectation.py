@@ -256,7 +256,7 @@ def enumerate_histories(
             entrants = lottery_entrants(state, item, x_min)
             share = probability / len(entrants)
             for winner in reversed(entrants):
-                child = apply_sale(economy, state, item, winner)
+                child = apply_sale(state, item, winner)
                 stack.append((child, share, winners + (winner,)))
     return tuple(leaves)
 

@@ -3,18 +3,21 @@
 A demand situation becomes a bipartite graph whose left vertices are the
 buyers insisting on real items (dummy not in their demand set) and whose
 right vertices are the items they demand.  One call to :func:`augment`
-either flips a single augmenting path, growing the matching by one edge,
-or returns its input unchanged when the matching is maximum.
+either flips a single shortest augmenting path, growing the matching by
+one edge, or returns its input unchanged when the matching is maximum.
+:func:`maximum_matching` returns the same matching as iterating
+:func:`augment` to its fixed point, but makes one greedy pass first and
+then flips the remaining shortest augmenting paths in place.
 
 Search order is fixed so that repeated runs produce the same matching:
 the breadth-first search starts from unmatched buyers in ascending id
 order and scans neighbours in ascending item index order.  Downstream
-set computations rely on this determinism.
+set computations rely on this determinism: ``mods`` grows its set from
+the lowest buyer the matching leaves unmatched.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -67,6 +70,14 @@ class Matching:
         self.buyer_to_item = b2i
         self.item_to_buyer = i2b
 
+    @classmethod
+    def _from_maps(cls, b2i: dict[int, int], i2b: dict[int, int]) -> "Matching":
+        """Wrap two inverse maps that already form a matching, unchecked."""
+        matching = cls.__new__(cls)
+        matching.buyer_to_item = b2i
+        matching.item_to_buyer = i2b
+        return matching
+
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.buyer_to_item.items()))
 
@@ -102,61 +113,84 @@ def _check_matching(graph: BipartiteGraph, matching: Matching) -> None:
             raise InvalidMatching(f"edge ({buyer}, {item}) is not in the graph")
 
 
+def _augment_path(graph: BipartiteGraph, b2i: dict[int, int], i2b: dict[int, int]) -> bool:
+    """Flip one shortest augmenting path in the maps ``b2i``/``i2b``, in place.
+
+    Runs one multi-source BFS, linear in the number of edges, from the
+    unmatched buyers in ``graph.left`` order.  Returns False, leaving the
+    maps untouched, when no augmenting path exists.
+    """
+    adj = graph.adj
+    queue = [i for i in graph.left if i not in b2i]
+    reached_from: dict[int, int] = {}  # item -> buyer that discovered it
+    # The loop also visits the holders appended during it.  A holder is
+    # appended only when its one matched item is first reached, so no
+    # buyer is queued twice.
+    for buyer in queue:
+        for item in adj[buyer]:
+            if item in reached_from:
+                continue
+            reached_from[item] = buyer
+            holder = i2b.get(item)
+            if holder is not None:
+                queue.append(holder)
+                continue
+            while True:  # a free item: flip the path back to its source
+                buyer = reached_from[item]
+                previous = b2i.get(buyer)
+                b2i[buyer] = item
+                i2b[item] = buyer
+                if previous is None:
+                    return True
+                item = previous
+    return False
+
+
 def augment(graph: BipartiteGraph, matching: Matching) -> Matching:
     """One augmenting step: flip a single shortest alternating path.
 
     Returns a matching one edge larger whose matched-vertex set contains
     the input's, or the input object itself when no augmenting path
-    exists (the fixed point, i.e. the matching is maximum).  Runs one
-    multi-source BFS, linear in the number of edges.
+    exists (the fixed point, i.e. the matching is maximum).
     """
     _check_matching(graph, matching)
-    b2i = matching.buyer_to_item
-    i2b = matching.item_to_buyer
-
-    sources = [i for i in graph.left if i not in b2i]
-    queue = deque(sources)
-    seen_left = set(sources)
-    reached_from: dict[int, int] = {}  # item -> buyer that discovered it
-
-    free_item = None
-    while queue and free_item is None:
-        buyer = queue.popleft()
-        for item in graph.adj[buyer]:
-            if item in reached_from:
-                continue
-            reached_from[item] = buyer
-            holder = i2b.get(item)
-            if holder is None:
-                free_item = item
-                break
-            if holder not in seen_left:
-                seen_left.add(holder)
-                queue.append(holder)
-
-    if free_item is None:
+    b2i = dict(matching.buyer_to_item)
+    i2b = dict(matching.item_to_buyer)
+    if not _augment_path(graph, b2i, i2b):
         return matching
-
-    new_b2i = dict(b2i)
-    item = free_item
-    while True:
-        buyer = reached_from[item]
-        previous = new_b2i.get(buyer)
-        new_b2i[buyer] = item
-        if previous is None:
-            break
-        item = previous
-    return Matching(new_b2i.items())
+    return Matching._from_maps(b2i, i2b)
 
 
 def maximum_matching(graph: BipartiteGraph, start: Optional[Matching] = None) -> Matching:
-    """Iterate :func:`augment` to its fixed point."""
-    current = start if start is not None else Matching()
-    while True:
-        grown = augment(graph, current)
-        if grown is current:
-            return current
-        current = grown
+    """The fixed point of :func:`augment` from ``start`` (default: empty).
+
+    Two facts about :func:`augment`'s search make a greedy pass exact.
+    Its BFS queues every unmatched buyer before any holder, so while some
+    unmatched buyer has a free item, a step gives the lowest such buyer
+    its lowest free item.  And free items never come back, so a buyer
+    that finds none free now never finds one later.  Hence one pass over
+    ``graph.left`` in order, giving each unmatched buyer its lowest free
+    item, makes exactly those one-edge steps; the longer paths that are
+    left are then flipped in place by the same BFS as :func:`augment`.
+    """
+    if start is None:
+        b2i: dict[int, int] = {}
+        i2b: dict[int, int] = {}
+    else:
+        _check_matching(graph, start)
+        b2i = dict(start.buyer_to_item)
+        i2b = dict(start.item_to_buyer)
+    for buyer in graph.left:
+        if buyer in b2i:
+            continue
+        for item in graph.adj[buyer]:
+            if item not in i2b:
+                b2i[buyer] = item
+                i2b[item] = buyer
+                break
+    while _augment_path(graph, b2i, i2b):
+        pass
+    return Matching._from_maps(b2i, i2b)
 
 
 def max_matching(situation: DemandSituation) -> Matching:

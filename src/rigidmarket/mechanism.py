@@ -213,9 +213,7 @@ def lottery_entrants(state: MechanismState, item: int, x_min: frozenset[int]) ->
     return tuple(sorted(i for i, d in state.demands.items() if item in d and d <= x_min))
 
 
-def apply_sale(
-    economy: Economy, state: MechanismState, item: int, winner: int
-) -> MechanismState:
+def apply_sale(state: MechanismState, item: int, winner: int) -> MechanismState:
     """Sell ``item`` to ``winner`` and open the next round.
 
     The winner leaves the market with its report.  Only the remaining
@@ -247,7 +245,7 @@ def lottery_step(
         raise NoEntrants(f"no eligible buyers for item {item}")
     winner = policy.choose(state.t, item, entrants)
     event = LotteryEvent(round=state.t, item=item, entrants=entrants, winner=winner)
-    return apply_sale(economy, state, item, winner), event
+    return apply_sale(state, item, winner), event
 
 
 def rm(

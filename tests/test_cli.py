@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from rigidmarket.cli import build_parser, main
 from rigidmarket.expectation import DEFAULT_NODE_LIMIT
@@ -237,6 +242,16 @@ def test_malformed_tuple_is_rejected(capsys, tmp_path, data_dir, document, code)
     assert "Traceback" not in err
 
 
+def test_dummy_rationing_zero_is_coded(capsys, tmp_path, data_dir):
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps({**TERMINAL_TUPLE, "rationing_zeros": [[1, "o"]]}))
+    code, _, err = run_cli(
+        capsys, "check", str(data_dir / "example_market.json"), "--tuple", str(path)
+    )
+    assert code == 1
+    assert "DummyForbidden: buyer 1 cannot be refused the dummy item 'o'" in err
+
+
 def test_unreadable_files_exit_one(capsys, tmp_path, data_dir):
     code, _, err = run_cli(capsys, "run", str(tmp_path))
     assert code == 1 and "cannot read" in err
@@ -259,8 +274,19 @@ def test_unreadable_files_exit_one(capsys, tmp_path, data_dir):
         (["matching", "--prices", "5,4.5,3,5"], "NonIntegerEntry: --prices: '4.5' is not"),
         (["run", "--scripted-winners", "two"], "NonIntegerEntry: --scripted-winners: 'two'"),
         (["manipulate", "--cap", "-1"], "the value cap must be non-negative"),
+        (["expect", "--node-limit", "-5"], "LimitBelowOne: --node-limit: -5 is below 1"),
+        (["manipulate", "--node-limit", "0"], "LimitBelowOne: --node-limit: 0 is below 1"),
+        (["matching", "--forbid", "1:o"], "DummyForbidden: buyer 1 cannot be refused"),
     ],
-    ids=["strategy", "prices", "scripted_winners", "negative_cap"],
+    ids=[
+        "strategy",
+        "prices",
+        "scripted_winners",
+        "negative_cap",
+        "expect_node_limit",
+        "manipulate_node_limit",
+        "forbid_dummy",
+    ],
 )
 def test_flag_errors_are_coded(capsys, data_dir, argv, message):
     command, *flags = argv
@@ -285,3 +311,99 @@ def test_scripts_run_from_another_directory(tmp_path, script):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+SMALL_INTS = st.integers(-3, 20)
+SHORT_TEXT = st.text("abco", max_size=2)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), SMALL_INTS, st.sampled_from([0.5, 2.0]), SHORT_TEXT),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(SHORT_TEXT, children, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated(draw, document):
+    """``document`` replaced by arbitrary JSON, or with one field dropped or replaced,
+    or with one innermost entry of a list field replaced."""
+    key = draw(st.sampled_from(sorted(document)))
+    action = draw(st.sampled_from(["entry", "replace", "drop", "document"]))
+    if action == "document":
+        return draw(JSON_VALUES)
+    if action == "drop":
+        del document[key]
+    elif action == "replace":
+        document[key] = draw(JSON_VALUES)
+    else:
+        target = document[key]
+        while isinstance(target, list) and target:
+            index = draw(st.integers(0, len(target) - 1))
+            if isinstance(target[index], list) and target[index]:
+                target = target[index]
+            else:
+                target[index] = draw(JSON_VALUES)
+                break
+    return document
+
+
+@st.composite
+def economy_documents(draw, n, m):
+    """A valid economy of n buyers and m items."""
+    lower = draw(st.lists(st.integers(0, 10), min_size=m, max_size=m))
+    rows = st.lists(st.integers(0, 20), min_size=m, max_size=m)
+    return {
+        "items": list("abcd"[:m]),
+        "buyers": n,
+        "valuations": draw(st.lists(rows, min_size=n, max_size=n)),
+        "lower_bounds": lower,
+        "upper_bounds": [p + draw(st.integers(0, 3)) for p in lower],
+    }
+
+
+@st.composite
+def tuple_documents(draw, n, m):
+    """A well-formed tuple file for that economy; it need not be an equilibrium."""
+    items = "abcd"[:m]
+    zero = st.tuples(st.integers(1, n), st.sampled_from(items)).map(list)
+    return {
+        "prices": draw(st.lists(SMALL_INTS, min_size=m, max_size=m)),
+        "rationing_zeros": draw(st.lists(zero, max_size=2)) if n and m else [],
+        "allocation": draw(st.lists(st.sampled_from(["o", *items]), min_size=n, max_size=n)),
+    }
+
+
+SUBCOMMANDS = (
+    ["run"],
+    ["run", "--format", "json"],
+    ["check", "--tuple"],
+    ["expect", "--histories", "--node-limit", "500"],
+    ["manipulate", "--cap", "2", "--node-limit", "500"],
+    ["matching"],
+)
+
+
+@given(st.data(), st.integers(0, 4), st.integers(0, 4), st.booleans())
+def test_every_subcommand_survives_arbitrary_json(data, n, m, break_economy):
+    """Arbitrary JSON, or a mutated valid file, as the economy file or the
+    tuple file: every subcommand exits 0, 1 or 2 and never prints a traceback."""
+    economy = data.draw(economy_documents(n, m))
+    tuple_document = data.draw(tuple_documents(n, m))
+    if break_economy:
+        economy = data.draw(mutated(economy))
+    else:
+        tuple_document = data.draw(mutated(tuple_document))
+    with tempfile.TemporaryDirectory() as directory:
+        economy_path = Path(directory) / "economy.json"
+        economy_path.write_text(json.dumps(economy))
+        tuple_path = Path(directory) / "tuple.json"
+        tuple_path.write_text(json.dumps(tuple_document))
+        for command, *flags in SUBCOMMANDS:
+            argv = [command, str(economy_path), *flags]
+            if command == "check":
+                argv.append(str(tuple_path))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in out.getvalue() + err.getvalue()

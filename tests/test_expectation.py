@@ -112,7 +112,7 @@ def live_round_count(economy):
             pending.append(price_increase_step(economy, state, x_min))
             continue
         for winner in lottery_entrants(state, xbar[0], x_min):
-            pending.append(apply_sale(economy, state, xbar[0], winner))
+            pending.append(apply_sale(state, xbar[0], winner))
     return rounds
 
 

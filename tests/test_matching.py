@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -12,6 +13,7 @@ from rigidmarket import (
     equilibrium_allocation_exists,
     matching_to_allocation,
     max_matching,
+    maximum_matching,
 )
 
 from strategies import demand_situations
@@ -77,6 +79,8 @@ def test_augment_rejects_foreign_edges():
     with pytest.raises(InvalidMatching):
         augment(graph, Matching([(2, 4)]))
     with pytest.raises(InvalidMatching):
+        maximum_matching(graph, Matching([(2, 4)]))
+    with pytest.raises(InvalidMatching):
         Matching([(1, 3), (2, 3)])
 
 
@@ -139,3 +143,35 @@ def test_size_invariant_under_relabelling(situation):
         }
     )
     assert len(max_matching(relabelled)) == len(max_matching(situation))
+
+
+def augment_fixed_point(graph, start):
+    """Oracle: iterate :func:`augment` until it returns its input."""
+    current = start
+    while True:
+        grown = augment(graph, current)
+        if grown is current:
+            return current
+        current = grown
+
+
+@st.composite
+def graphs_with_starts(draw):
+    """A demand graph and a valid partial matching of it, possibly empty."""
+    graph = build_graph(draw(demand_situations(max_buyers=6, max_items=5)))
+    pairs, used = [], set()
+    for buyer in draw(st.permutations(graph.left)):
+        free = [a for a in graph.adj[buyer] if a not in used]
+        if free and draw(st.booleans()):
+            item = draw(st.sampled_from(free))
+            pairs.append((buyer, item))
+            used.add(item)
+    return graph, Matching(pairs)
+
+
+@given(graphs_with_starts())
+def test_maximum_matching_is_the_augment_fixed_point(case):
+    graph, start = case
+    assert maximum_matching(graph, start).pairs() == augment_fixed_point(graph, start).pairs()
+    empty = Matching()
+    assert maximum_matching(graph).pairs() == augment_fixed_point(graph, empty).pairs()
