@@ -110,7 +110,8 @@ def _read_tuple(data):
 def _full_prices(economy, real_prices):
     if len(real_prices) != economy.n_items - 1:
         raise CliError(
-            f"expected {economy.n_items - 1} prices (real items only), got {len(real_prices)}"
+            f"ShapeError: expected {economy.n_items - 1} prices (real items only),"
+            f" got {len(real_prices)}"
         )
     return (0, *real_prices)
 
@@ -119,11 +120,11 @@ def _rationing_from_zeros(economy, zeros):
     rationing = RationingSystem.full(economy.n_buyers, economy.n_items)
     for buyer, name in zeros:
         if buyer not in economy.buyers:
-            raise CliError(f"rationing refers to unknown buyer {buyer}")
+            raise CliError(f"UnknownBuyer: rationing refers to unknown buyer {buyer}")
         try:
             item = economy.item_index(name)
         except KeyError:
-            raise CliError(f"rationing refers to unknown item {name!r}")
+            raise CliError(f"UnknownItem: rationing refers to unknown item {name!r}")
         if item == DUMMY:
             raise CliError(
                 f"DummyForbidden: buyer {buyer} cannot be refused the dummy item {name!r}"
@@ -158,17 +159,27 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     economy = _load(args.economy)
     real_prices, zeros, names = _read_tuple(_read_json(args.tuple))
-    prices = _full_prices(economy, real_prices)
-    rationing = _rationing_from_zeros(economy, zeros)
+    try:
+        prices = _full_prices(economy, real_prices)
+        rationing = _rationing_from_zeros(economy, zeros)
+    except CliError as exc:
+        raise _tuple_error(str(exc)) from None
     if len(names) != economy.n_buyers:
-        raise CliError(f"allocation must list one item per buyer ({economy.n_buyers})")
+        raise _tuple_error(
+            f"ShapeError: allocation must list one item per buyer ({economy.n_buyers}),"
+            f" got {len(names)}"
+        )
     try:
         assignment = tuple(economy.item_index(n) for n in names)
-        allocation = Allocation(assignment)
     except KeyError as exc:
-        raise CliError(f"allocation refers to unknown item: {exc}")
-    except ValueError as exc:
-        raise CliError(f"invalid allocation: {exc}")
+        raise _tuple_error(f"UnknownItem: allocation refers to {exc.args[0]}")
+    try:
+        allocation = Allocation(assignment)
+    except ValueError:
+        twice = next(a for a in assignment if a != DUMMY and assignment.count(a) > 1)
+        raise _tuple_error(
+            f"ItemAssignedTwice: item {economy.item_names[twice]!r} is assigned twice"
+        )
 
     certificate = check_cwe(economy, prices, rationing, allocation)
     for k, verdict in enumerate(certificate.conditions, start=1):

@@ -41,6 +41,7 @@ from .model import (
     Economy,
     RationingSystem,
     demand_set,
+    settled_demand,
 )
 from .overdemand import mods
 
@@ -118,10 +119,6 @@ class MechanismState:
     active: frozenset[int]
     demands: Mapping[int, frozenset[int]]
 
-    def unsold_buyers(self, economy: Economy) -> tuple[int, ...]:
-        sold = self.sold.buyer_to_item
-        return tuple(i for i in economy.buyers if i not in sold)
-
 
 def initial_state(economy: Economy) -> MechanismState:
     return MechanismState(
@@ -138,31 +135,41 @@ def refresh_demands(economy: Economy, state: MechanismState) -> MechanismState:
     """Collect demand reports and strike sold items until none is demanded.
 
     Active buyers report at current prices; any of them demanding a sold
-    item loses permission for exactly those items and reports again.
-    Settles within one pass per sold item.  Every other unsold buyer
-    keeps its report in ``state.demands``; :func:`price_increase_step`
-    and :func:`apply_sale` only leave a buyer inactive when that report
-    is still its demand and touches no sold item.  Afterwards
-    ``demands`` has one report per unsold buyer.
+    item strikes it and reports again until its demand holds no sold
+    item.  Buyers never read each other's permission rows, so each one
+    settles on its own, in one :func:`~rigidmarket.model.settled_demand`
+    walk.  An active buyer whose recorded report meets a sold item
+    settled that report at the current prices and permissions just
+    before the sale (:func:`apply_sale`), so a fresh report would return
+    it unchanged and the buyer goes straight to the walk.
+
+    Every other unsold buyer keeps its report in ``state.demands``;
+    :func:`price_increase_step` and :func:`apply_sale` only leave a buyer
+    inactive when that report is still its demand and touches no sold
+    item.  Afterwards ``demands`` has one report per unsold buyer.  At
+    most one :class:`RationingSystem` is built, and a permission row that
+    loses no item stays the same object.
     """
     demands = dict(state.demands)
+    prices = state.prices
     rationing = state.rationing
-    reporting = sorted(state.active)
-    for i in reporting:
-        demands[i] = demand_set(economy, state.prices, rationing, i)
-    sold_items = state.sold.matched_items()
-
-    for _ in range(economy.n_items + 1):
-        confronted = [i for i in reporting if demands[i] & sold_items]
-        if not confronted:
-            break
-        for i in confronted:
-            rationing = rationing.forbid_many(i, demands[i] & sold_items)
-            demands[i] = demand_set(economy, state.prices, rationing, i)
-        reporting = confronted
-    else:
-        raise RuntimeError("demand refresh failed to settle")  # unreachable
-
+    sold = state.sold.matched_items()
+    rows = None
+    for i in sorted(state.active):
+        report = demands.get(i)
+        if report is None or report.isdisjoint(sold):
+            report = demand_set(economy, prices, rationing, i)
+            if report.isdisjoint(sold):
+                demands[i] = report
+                continue
+        allowed = rationing.allowed[i - 1]
+        row, demands[i] = settled_demand(economy, prices, allowed, i, sold)
+        if row is not allowed:
+            if rows is None:
+                rows = list(rationing.allowed)
+            rows[i - 1] = row
+    if rows is not None:
+        rationing = RationingSystem(tuple(rows))
     return replace(state, rationing=rationing, demands=demands)
 
 
@@ -229,7 +236,6 @@ def apply_sale(state: MechanismState, item: int, winner: int) -> MechanismState:
 
 
 def lottery_step(
-    economy: Economy,
     state: MechanismState,
     item: int,
     x_min: frozenset[int],
@@ -303,6 +309,15 @@ class TraceRow:
     lottery: Optional[LotteryEvent] = None
 
 
+def _json_list(encoded: list[str]) -> str:
+    """A JSON array of already-encoded values, spaced as ``json.dumps`` spaces it."""
+    return "[" + ", ".join(encoded) + "]"
+
+
+def _json_ints(values) -> str:
+    return _json_list([str(v) for v in values])
+
+
 @dataclass(frozen=True)
 class Trace:
     item_names: tuple[str, ...]
@@ -318,11 +333,6 @@ class Trace:
 
     def row_dict(self, row: TraceRow) -> dict:
         names = self._names
-        return self._row_dict(
-            row, names, lambda cells: [None if c is None else names(c) for c in cells]
-        )
-
-    def _row_dict(self, row: TraceRow, names, columns) -> dict:
         lottery = None
         if row.lottery is not None:
             lottery = {
@@ -334,9 +344,9 @@ class Trace:
             "t": row.label,
             "prices": list(row.prices),
             "x_min": names(row.x_min),
-            "u_sets": columns(row.u_sets),
+            "u_sets": [None if c is None else names(c) for c in row.u_sets],
             "sold_buyers": list(row.sold_buyers),
-            "demands": columns(row.demands),
+            "demands": [None if c is None else names(c) for c in row.demands],
             "sold_items": names(row.sold_items),
             "lottery": lottery,
         }
@@ -351,26 +361,47 @@ class Trace:
     def to_json_lines(self) -> list[str]:
         """One JSON line per row, then the final record.
 
-        Rows repeat most of their item sets and whole ``U``/``D``
-        columns, so each distinct one is named once; the lines equal
-        ``json.dumps(self.row_dict(row))``.
+        Each row line equals ``json.dumps(self.row_dict(row))``.  Rows
+        repeat most of their item sets and whole ``U``/``D`` columns, so
+        the line is joined from pre-encoded pieces: each item name is
+        encoded once with ``json.dumps``, each distinct item set once, and
+        each ``U``/``D`` column object once.
         """
-        named_sets: dict[tuple[int, ...], list[str]] = {}
-        named_columns: dict[tuple, list] = {}
+        quoted = [json.dumps(name) for name in self.item_names]
+        encoded_sets: dict[tuple[int, ...], str] = {}
+        encoded_columns: dict[int, tuple[tuple, str]] = {}
 
-        def names(items: tuple[int, ...]) -> list[str]:
-            named = named_sets.get(items)
-            if named is None:
-                named = named_sets[items] = self._names(items)
-            return named
+        def encode_set(items: tuple[int, ...]) -> str:
+            text = encoded_sets.get(items)
+            if text is None:
+                text = encoded_sets[items] = _json_list([quoted[a] for a in sorted(items)])
+            return text
 
-        def columns(cells: tuple) -> list:
-            named = named_columns.get(cells)
-            if named is None:
-                named = named_columns[cells] = [None if c is None else names(c) for c in cells]
-            return named
+        def encode_column(cells: tuple) -> str:
+            # keyed by identity: run_mapr hands unchanged columns on as the
+            # same object, and the cache holds each column alive
+            entry = encoded_columns.get(id(cells))
+            if entry is None or entry[0] is not cells:
+                text = _json_list(["null" if c is None else encode_set(c) for c in cells])
+                entry = encoded_columns[id(cells)] = (cells, text)
+            return entry[1]
 
-        lines = [json.dumps(self._row_dict(row, names, columns)) for row in self.rows]
+        lines = []
+        for row in self.rows:
+            lottery = "null"
+            if row.lottery is not None:
+                lottery = (
+                    f'{{"item": {quoted[row.lottery.item]}, '
+                    f'"entrants": {_json_ints(row.lottery.entrants)}, '
+                    f'"winner": {row.lottery.winner}}}'
+                )
+            lines.append(
+                f'{{"t": {json.dumps(row.label)}, "prices": {_json_ints(row.prices)}, '
+                f'"x_min": {encode_set(row.x_min)}, "u_sets": {encode_column(row.u_sets)}, '
+                f'"sold_buyers": {_json_ints(row.sold_buyers)}, '
+                f'"demands": {encode_column(row.demands)}, '
+                f'"sold_items": {encode_set(row.sold_items)}, "lottery": {lottery}}}'
+            )
         lines.append(json.dumps({"final": self.final_dict()}))
         return lines
 
@@ -531,7 +562,7 @@ def run_mapr(economy: Economy, policy: Optional[LotteryPolicy] = None) -> MaprOu
             price_rounds += 1
             continue
         item = xbar[0]
-        next_state, event = lottery_step(economy, state, item, x_min, policy)
+        next_state, event = lottery_step(state, item, x_min, policy)
         rows.append(row(state, label, x_min, event))
         events.append(event)
         branch.append(str(event.entrants.index(event.winner) + 1))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from .errors import EconomyValidationError
 
@@ -326,6 +326,40 @@ def demand_set(economy, prices, rationing: RationingSystem, buyer: int) -> froze
     allowed = rationing.allowed[buyer - 1]
     best = max(row[a] - prices[a] for a in allowed)
     return frozenset(a for a in allowed if row[a] - prices[a] == best)
+
+
+def settled_demand(
+    economy, prices, allowed: frozenset[int], buyer: int, sold: Container[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The buyer's permission row and demand once its demand holds no sold item.
+
+    ``allowed`` is the buyer's permission row.  Reporting with
+    :func:`demand_set` and striking the sold items of each report until a
+    report holds none reaches the same pair in one walk: rank the allowed
+    items by net benefit, and go down the groups of equal net benefit,
+    highest first.  Each group's sold members are struck; the first group
+    with an unsold member ends the walk, and its unsold members are the
+    demand.  The dummy is always allowed and never sold, so the walk ends.
+    When nothing is struck, ``allowed`` itself is returned.
+    """
+    row = economy.valuations[buyer - 1]
+    # ascending price minus value is descending net benefit
+    ranked = sorted([(prices[a] - row[a], a) for a in allowed])
+    struck: list[int] = []
+    demand: list[int] = []
+    group = None
+    for cost, a in ranked:
+        if cost != group:
+            if demand:
+                break
+            group = cost
+        if a in sold:
+            struck.append(a)
+        else:
+            demand.append(a)
+    if struck:
+        allowed = allowed.difference(struck)
+    return allowed, frozenset(demand)
 
 
 def demand_situation(

@@ -218,6 +218,12 @@ TERMINAL_TUPLE = {
         ({**TERMINAL_TUPLE, "prices": ["x", 4, 4, 7]}, "NonIntegerEntry"),
         ({**TERMINAL_TUPLE, "prices": [True, 4, 4, 7]}, "NonIntegerEntry"),
         ({**TERMINAL_TUPLE, "rationing_zeros": [["1", "c"]]}, "NonIntegerEntry"),
+        ({**TERMINAL_TUPLE, "rationing_zeros": [[9, "c"]]}, "UnknownBuyer"),
+        ({**TERMINAL_TUPLE, "rationing_zeros": [[1, "z"]]}, "UnknownItem"),
+        ({**TERMINAL_TUPLE, "allocation": ["o", "c", "b", "a", "z"]}, "UnknownItem"),
+        ({**TERMINAL_TUPLE, "allocation": ["o", "c", "c", "a", "d"]}, "ItemAssignedTwice"),
+        ({**TERMINAL_TUPLE, "prices": [5, 4, 4]}, "ShapeError"),
+        ({**TERMINAL_TUPLE, "allocation": ["o", "c"]}, "ShapeError"),
     ],
     ids=[
         "not_an_object",
@@ -229,6 +235,12 @@ TERMINAL_TUPLE = {
         "string_price",
         "bool_price",
         "string_buyer",
+        "unknown_buyer",
+        "unknown_rationing_item",
+        "unknown_allocation_item",
+        "item_assigned_twice",
+        "short_prices",
+        "short_allocation",
     ],
 )
 def test_malformed_tuple_is_rejected(capsys, tmp_path, data_dir, document, code):

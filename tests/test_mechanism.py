@@ -17,6 +17,7 @@ from rigidmarket import (
     SeededLottery,
     UpperBoundViolation,
     check_cwe,
+    demand_set,
     initial_state,
     lottery_step,
     price_increase_step,
@@ -32,6 +33,33 @@ from strategies import economies, make_economy
 
 def settled(economy, state):
     return refresh_demands(economy, state)
+
+
+def unsold_buyers(economy, state):
+    sold = state.sold.buyer_to_item
+    return tuple(i for i in economy.buyers if i not in sold)
+
+
+def full_refresh(economy, state):
+    """The plain refresh: every unsold buyer reports afresh with ``demand_set``.
+
+    Then, pass by pass, each buyer whose report meets a sold item strikes
+    those items with ``forbid_many`` and reports again, until no report
+    does.  Shares no code with ``refresh_demands``.
+    """
+    sold = state.sold.matched_items()
+    rationing = state.rationing
+    reporting = unsold_buyers(economy, state)
+    demands = {i: demand_set(economy, state.prices, rationing, i) for i in reporting}
+    for _ in range(economy.n_items + 1):
+        confronted = [i for i in reporting if demands[i] & sold]
+        if not confronted:
+            return replace(state, rationing=rationing, demands=demands)
+        for i in confronted:
+            rationing = rationing.forbid_many(i, demands[i] & sold)
+            demands[i] = demand_set(economy, state.prices, rationing, i)
+        reporting = confronted
+    raise AssertionError("the plain refresh failed to settle")
 
 
 def test_initial_round_demands(market):
@@ -81,7 +109,7 @@ def test_lottery_step_entrants_and_determinism(market):
     assert x_min == frozenset({3}) and xbar == (3,)
     assert lottery_entrants(state, 3, x_min) == (2, 3)
 
-    next_state, event = lottery_step(market, state, 3, x_min, ScriptedLottery([2]))
+    next_state, event = lottery_step(state, 3, x_min, ScriptedLottery([2]))
     assert event.entrants == (2, 3) and event.winner == 2 and event.round == 3
     assert next_state.sold.pairs() == ((2, 3),)
     assert next_state.prices == state.prices
@@ -91,7 +119,7 @@ def test_lottery_step_entrants_and_determinism(market):
     assert 2 not in next_state.demands
 
     # the same seed always picks the same winner
-    picks = {lottery_step(market, state, 3, x_min, SeededLottery(9))[1].winner for _ in range(5)}
+    picks = {lottery_step(state, 3, x_min, SeededLottery(9))[1].winner for _ in range(5)}
     assert len(picks) == 1
 
     lone = MechanismState(
@@ -102,7 +130,7 @@ def test_lottery_step_entrants_and_determinism(market):
         active=state.active,
         demands={2: frozenset({3})},
     )
-    _, event = lottery_step(market, lone, 3, frozenset({3}), SeededLottery(1))
+    _, event = lottery_step(lone, 3, frozenset({3}), SeededLottery(1))
     assert event.winner == 2  # single entrant wins with certainty
 
     empty = MechanismState(
@@ -114,7 +142,7 @@ def test_lottery_step_entrants_and_determinism(market):
         demands={4: frozenset({1})},
     )
     with pytest.raises(NoEntrants):
-        lottery_step(market, empty, 3, frozenset({3}), SeededLottery(1))
+        lottery_step(empty, 3, frozenset({3}), SeededLottery(1))
 
 
 def test_refresh_strikes_sold_items(market):
@@ -154,6 +182,150 @@ def test_refresh_chains_through_two_sold_items():
     # first report hits sold a, the re-report hits sold b, then c and o tie
     assert state.rationing.forbidden(1, 4) == frozenset({1, 2})
     assert state.demands[1] == frozenset({0, 3})
+
+
+def test_refresh_strikes_only_the_sold_members_of_a_tie():
+    economy = make_economy([[5, 5, 1], [9, 0, 0]], [1, 1, 1], [2, 2, 2])
+    state = MechanismState(
+        t=1,
+        prices=(0, 1, 1, 1),
+        sold=Matching([(2, 1)]),
+        rationing=RationingSystem.full(2, 4),
+        active=frozenset({1}),
+        demands={},
+    )
+    state = refresh_demands(economy, state)
+    # a and b tie at net 4; only sold a is struck and b stays demanded
+    assert state.rationing.forbidden(1, 4) == frozenset({1})
+    assert state.demands[1] == frozenset({2})
+
+
+def test_refresh_stops_at_the_dummy_when_every_real_item_is_sold():
+    economy = make_economy([[9, 8, 0], [9, 0, 0], [0, 8, 0], [0, 0, 5]], [1, 1, 1], [2, 2, 2])
+    rationing = RationingSystem.full(4, 4)
+    state = MechanismState(
+        t=1,
+        prices=(0, 1, 1, 1),
+        sold=Matching([(2, 1), (3, 2), (4, 3)]),
+        rationing=rationing,
+        active=frozenset({1}),
+        demands={},
+    )
+    state = refresh_demands(economy, state)
+    # a (net 8) and b (net 7) are struck; the walk ends at o (net 0), so
+    # sold c (net -1) lies below it and is never struck
+    assert state.rationing.forbidden(1, 4) == frozenset({1, 2})
+    assert state.demands[1] == frozenset({DUMMY})
+    # rows that lose nothing stay the same objects
+    for k in (1, 2, 3):
+        assert state.rationing.allowed[k] is rationing.allowed[k]
+
+
+def test_post_sale_report_is_a_fresh_report(market):
+    state = initial_state(market)
+    for _ in range(4):
+        state = settled(market, state)
+        x_min, xbar = gate(market, state)
+        if xbar:
+            break
+        state = price_increase_step(market, state, x_min)
+    state, _ = lottery_step(state, 3, x_min, ScriptedLottery([2]))
+    # buyer 3 lost c: its recorded report meets the sold item and is what
+    # a fresh report at the same prices and permissions would return
+    assert state.active == frozenset({3})
+    assert state.demands[3] == frozenset({3})
+    assert demand_set(market, state.prices, state.rationing, 3) == state.demands[3]
+    assert settled(market, state).demands[3] == frozenset({4})
+
+
+@st.composite
+def refresh_states(draw):
+    """An economy and a state as the step functions leave it, before a refresh.
+
+    Prices, permissions and the sold matching are random.  Inactive
+    unsold buyers hold the plain refresh's settled row and report; each
+    active buyer keeps its unsettled row and has no report, a fresh one
+    (as after a sale, so it may meet a sold item) or the settled one (as
+    after a raise).
+    """
+    economy = draw(economies(max_buyers=5, max_real_items=4))
+    prices = tuple(
+        draw(st.integers(economy.lower_bounds[a], economy.upper_bounds[a]))
+        for a in economy.items
+    )
+    rationing = RationingSystem.full(economy.n_buyers, economy.n_items)
+    for i in economy.buyers:
+        for a in economy.real_items:
+            if draw(st.integers(0, 3)) == 0:
+                rationing = rationing.forbid(i, a)
+    buyers = draw(st.permutations(list(economy.buyers)))
+    items = draw(st.permutations(list(economy.real_items)))
+    n_sold = draw(st.integers(0, min(len(buyers), len(items))))
+    sold = Matching(zip(buyers[:n_sold], items[:n_sold]))
+    state = MechanismState(1, prices, sold, rationing, frozenset(), {})
+    plain = full_refresh(economy, state)
+    unsold = unsold_buyers(economy, state)
+    active = frozenset(draw(st.sets(st.sampled_from(unsold)))) if unsold else frozenset()
+    rows = list(plain.rationing.allowed)
+    demands = {}
+    for i in unsold:
+        if i not in active:
+            demands[i] = plain.demands[i]
+            continue
+        rows[i - 1] = rationing.allowed[i - 1]
+        kind = draw(st.sampled_from(["none", "fresh", "settled"]))
+        if kind == "fresh":
+            demands[i] = demand_set(economy, prices, rationing, i)
+        elif kind == "settled":
+            demands[i] = plain.demands[i]
+    rationing = RationingSystem(tuple(rows))
+    return economy, MechanismState(1, prices, sold, rationing, active, demands)
+
+
+@settings(max_examples=200)
+@given(refresh_states())
+def test_refresh_matches_the_pass_by_pass_refresh(case):
+    economy, state = case
+    got = refresh_demands(economy, state)
+    want = full_refresh(economy, state)
+    assert got.demands == want.demands
+    assert got.rationing == want.rationing
+    for before, after in zip(state.rationing.allowed, got.rationing.allowed):
+        if after == before:
+            assert after is before
+
+
+def test_refresh_builds_one_rationing_and_no_forbid_many(monkeypatch):
+    economy = wide_economy(2024, 40, 20, 1)
+    state = initial_state(economy)
+    policy = SeededLottery(5)
+    built = []
+    check = RationingSystem.__post_init__
+
+    def counting_check(self):
+        built.append(self)
+        check(self)
+
+    def no_forbid_many(self, buyer, items):
+        raise AssertionError("refresh_demands called forbid_many")
+
+    sales = 0
+    for _ in range(economy.bound_spread() + economy.n_items + 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(RationingSystem, "__post_init__", counting_check)
+            patch.setattr(RationingSystem, "forbid_many", no_forbid_many)
+            built.clear()
+            state = refresh_demands(economy, state)
+            assert len(built) <= 1
+        x_min, xbar = gate(economy, state)
+        if x_min is None:
+            break
+        if not xbar:
+            state = price_increase_step(economy, state, x_min)
+        else:
+            state, _ = lottery_step(state, xbar[0], x_min, policy)
+            sales += 1
+    assert sales > 0 and state.rationing.zeros(economy.n_items)
 
 
 def test_golden_run_reaches_published_outcome(market):
@@ -256,8 +428,8 @@ def test_completion_contracts_on_random_terminals(economy):
         if not xbar:
             state = price_increase_step(economy, state, x_min)
         else:
-            state, _ = lottery_step(economy, state, xbar[0], x_min, policy)
-    demands = {i: state.demands[i] for i in state.unsold_buyers(economy)}
+            state, _ = lottery_step(state, xbar[0], x_min, policy)
+    demands = {i: state.demands[i] for i in unsold_buyers(economy, state)}
     completion = rm(demands, state.sold, state.prices, economy.lower_bounds)
     # disjointness from the sold matching
     assert not completion.matched_buyers() & state.sold.matched_buyers()
@@ -282,14 +454,17 @@ def test_settled_demands_are_the_unsold_buyers(economy, seed):
     policy = SeededLottery(seed)
     for _ in range(economy.bound_spread() + economy.n_items + 1):
         state = refresh_demands(economy, state)
-        assert set(state.demands) == set(state.unsold_buyers(economy))
+        assert set(state.demands) == set(unsold_buyers(economy, state))
         x_min, xbar = gate(economy, state)
         if x_min is None:
             break
         if not xbar:
             state = price_increase_step(economy, state, x_min)
-        else:
-            state, _ = lottery_step(economy, state, xbar[0], x_min, policy)
+            continue
+        state, _ = lottery_step(state, xbar[0], x_min, policy)
+        # the losers' reports, reused by the next refresh, are fresh reports
+        for i in state.active:
+            assert state.demands[i] == demand_set(economy, state.prices, state.rationing, i)
     else:
         raise AssertionError("run exceeded the round bound")
 
@@ -343,15 +518,16 @@ def reference_row(economy, state, label, x_min, lottery):
 def assert_matches_full_refresh(economy, seed):
     """Step the engine beside a loop where every unsold buyer reports every round.
 
-    Both loops drive the public step functions; the reference one forces
-    ``active`` to all unsold buyers before each refresh.  Every round must
-    agree, and ``run_mapr`` must emit the reference loop's trace.
+    Both loops drive the public step functions, but the reference one
+    settles each round with :func:`full_refresh` instead of
+    ``refresh_demands``.  Every round must agree, and ``run_mapr`` must
+    emit the reference loop's trace.
     """
     ref_policy, inc_policy = SeededLottery(seed), SeededLottery(seed)
     ref = inc = initial_state(economy)
     rows, events, branch = [], [], []
     for _ in range(economy.bound_spread() + economy.n_items + 1):
-        ref = refresh_demands(economy, replace(ref, active=frozenset(ref.unsold_buyers(economy))))
+        ref = full_refresh(economy, ref)
         inc = refresh_demands(economy, inc)
         x_min, xbar = gate(economy, ref)
         assert gate(economy, inc) == (x_min, xbar)
@@ -368,8 +544,8 @@ def assert_matches_full_refresh(economy, seed):
             ref = price_increase_step(economy, ref, x_min)
             inc = price_increase_step(economy, inc, x_min)
             continue
-        next_ref, event = lottery_step(economy, ref, xbar[0], x_min, ref_policy)
-        inc, inc_event = lottery_step(economy, inc, xbar[0], x_min, inc_policy)
+        next_ref, event = lottery_step(ref, xbar[0], x_min, ref_policy)
+        inc, inc_event = lottery_step(inc, xbar[0], x_min, inc_policy)
         assert inc_event == event
         rows.append(reference_row(economy, ref, label, x_min, event))
         events.append(event)
@@ -412,6 +588,21 @@ def test_incremental_refresh_matches_full_refresh(economy):
 @pytest.mark.parametrize("room", [40, 1])
 def test_incremental_refresh_matches_full_refresh_at_40x20(room):
     assert_matches_full_refresh(wide_economy(2024, 40, 20, room), seed=5)
+
+
+def test_json_lines_escape_item_names():
+    names = ("o", 'say "hi"', "back\\slash", "café", "日本")
+    # buyers 1 and 2 draw lots for the capped first item; the loser then
+    # strikes it, so the U column names it too
+    rows = [(0, 10, 0, 0, 0), (0, 10, 3, 0, 0), (0, 0, 5, 5, 5)]
+    economy = validate_economy(names, rows, (0, 2, 1, 1, 1), (0, 2, 3, 2, 1))
+    trace = run_mapr(economy, SeededLottery(4)).trace
+    assert trace.rows[0].lottery is not None
+    assert any(any(u) for row in trace.rows for u in row.u_sets)
+    lines = trace.to_json_lines()
+    assert lines[:-1] == [json.dumps(trace.row_dict(r)) for r in trace.rows]
+    assert lines[-1] == json.dumps({"final": trace.final_dict()})
+    assert '"say \\"hi\\""' in lines[0] and "caf\\u00e9" in lines[0]
 
 
 @settings(max_examples=50)
