@@ -23,7 +23,6 @@ from .model import (
     DUMMY,
     DUMMY_NAME,
     Allocation,
-    DemandSituation,
     Economy,
     RationingSystem,
     demand_set,
@@ -35,7 +34,6 @@ from .model import (
     validate_economy,
 )
 from .matching import (
-    BipartiteGraph,
     Matching,
     augment,
     build_graph,

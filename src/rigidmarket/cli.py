@@ -3,10 +3,12 @@
 Subcommands: ``run`` (execute the mechanism and print the trace),
 ``check`` (verify an equilibrium tuple), ``expect`` (exact expected
 profits and prices), ``manipulate`` (misreport analysis), ``matching``
-(maximum matching of a demand situation).
+(the buyers' demand sets at given prices and a maximum matching on
+them).
 
-Exit codes: 0 success, 1 invalid input or a failed equilibrium check,
-2 exhausted size guard.
+Exit codes: 0 success, 1 invalid input (usage errors included) or a
+failed equilibrium check, 2 exhausted size guard.  Input errors are
+reported with a stable code such as ``ShapeError`` or ``UsageError``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .equilibrium import CONDITION_NAMES, check_cwe
-from .errors import EconomyValidationError, SizeGuard, TreeSizeExceeded
+from .errors import EconomyValidationError, ScriptError, SizeGuard, TreeSizeExceeded
 from .expectation import DEFAULT_NODE_LIMIT, enumerate_histories, expected_values
 from .matching import max_matching
 from .mechanism import ScriptedLottery, SeededLottery, run_mapr
@@ -46,18 +48,33 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a coded :class:`CliError`, so it exits 1, not 2."""
+
+    def error(self, message):
+        raise CliError(f"UsageError: {message}\n{self.format_usage().rstrip()}")
+
+
+def _parse_int(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"NonIntegerEntry: {flag}: {text!r} is not an integer") from None
+
+
+def _int_flag(flag: str):
+    """An argparse ``type`` for an integer flag.
+
+    argparse turns only ``ValueError``, ``TypeError`` and
+    ``ArgumentTypeError`` into its own usage error, so the coded
+    :class:`CliError` raised here reaches :func:`main` as it is.
+    """
+    return lambda text: _parse_int(text, flag)
+
+
 def _parse_int_list(text: str, flag: str) -> list[int]:
     """Comma-separated integers; empty parts are skipped."""
-    values = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            values.append(int(part))
-        except ValueError:
-            raise CliError(f"NonIntegerEntry: {flag}: {part!r} is not an integer")
-    return values
+    return [_parse_int(part, flag) for part in map(str.strip, text.split(",")) if part]
 
 
 def _read_json(path):
@@ -142,12 +159,19 @@ def _node_limit(args) -> int:
 def _cmd_run(args) -> int:
     economy = _load(args.economy)
     if args.seed is not None and args.scripted_winners is not None:
-        raise CliError("--seed and --scripted-winners are mutually exclusive")
+        raise CliError("UsageError: --seed and --scripted-winners are mutually exclusive")
     if args.scripted_winners is not None:
-        policy = ScriptedLottery(_parse_int_list(args.scripted_winners, "--scripted-winners"))
+        winners = _parse_int_list(args.scripted_winners, "--scripted-winners")
+        for winner in winners:
+            if winner not in economy.buyers:
+                raise CliError(f"UnknownBuyer: --scripted-winners: no buyer {winner}")
+        policy = ScriptedLottery(winners)
     else:
         policy = SeededLottery(args.seed if args.seed is not None else 0)
-    outcome = run_mapr(economy, policy)
+    try:
+        outcome = run_mapr(economy, policy)
+    except ScriptError as exc:
+        raise CliError(f"ScriptError: --scripted-winners: {exc}") from None
     if args.format == "json":
         for line in outcome.trace.to_json_lines():
             print(line)
@@ -218,18 +242,26 @@ def _cmd_expect(args) -> int:
 def _cmd_manipulate(args) -> int:
     economy = _load(args.economy)
     node_limit = _node_limit(args)
+    if args.buyer not in economy.buyers:
+        raise CliError(f"UnknownBuyer: --buyer: no buyer {args.buyer}")
     problem = ManipulationProblem(economy, args.buyer)
     if args.strategy is not None:
         values = _parse_int_list(args.strategy, "--strategy")
         if len(values) != economy.n_items - 1:
             raise CliError(
-                f"--strategy needs {economy.n_items - 1} values (real items only)"
+                f"ShapeError: --strategy needs {economy.n_items - 1} values"
+                f" (real items only), got {len(values)}"
             )
+        for value in values:
+            if value < 0:
+                raise CliError(f"NegativeEntry: --strategy: {value} is negative")
         strategy = Strategy.from_real_values(values)
         profit = expected_profit_under_strategy(problem, strategy, node_limit=node_limit)
         print(f"reported values: {values}")
         print(f"expected profit for buyer {args.buyer}: {_frac(profit)} ({float(profit)})")
         return 0
+    if args.cap is not None and args.cap < 0:
+        raise CliError(f"NegativeEntry: --cap: the value cap must be non-negative, got {args.cap}")
     result = optimal_strategy_search(problem, cap=args.cap, node_limit=node_limit)
     print(f"cap: {result.cap} (searched {result.strategies_evaluated} strategies,"
           f" {result.distinct_evaluations} distinct evaluations)")
@@ -249,29 +281,28 @@ def _cmd_matching(args) -> int:
     else:
         prices = economy.lower_bounds
     if not is_admissible(economy, prices):
-        raise CliError("prices are not admissible for this economy")
+        raise CliError("PriceOutOfBounds: --prices: prices are not admissible for this economy")
     zeros = []
     for flag in args.forbid or ():
-        try:
-            buyer_text, item_name = flag.split(":", 1)
-            zeros.append((int(buyer_text), item_name))
-        except ValueError:
-            raise CliError(f"bad --forbid value {flag!r}; use BUYER:ITEM")
+        buyer_text, colon, item_name = flag.partition(":")
+        if not colon:
+            raise CliError(f"ShapeError: --forbid: {flag!r} is not BUYER:ITEM")
+        zeros.append((_parse_int(buyer_text, "--forbid"), item_name))
     rationing = _rationing_from_zeros(economy, zeros)
-    situation = demand_situation(economy, prices, rationing)
+    demands = demand_situation(economy, prices, rationing)
     for i in economy.buyers:
-        names = ",".join(economy.item_names[a] for a in sorted(situation.demands[i]))
+        names = ",".join(economy.item_names[a] for a in sorted(demands[i]))
         print(f"D_{i} = {{{names}}}")
-    matching = max_matching(situation)
+    matching = max_matching(demands)
     pairs = " ".join(f"{i}-{economy.item_names[a]}" for i, a in matching.pairs())
     print(f"maximum matching ({len(matching)} edges): {pairs or '-'}")
-    served = len(matching) == len(situation.demanders())
+    served = len(matching) == sum(DUMMY not in d for d in demands.values())
     print(f"equilibrium allocation exists: {'yes' if served else 'no'}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rigidmarket",
         description="Allocation of indivisible items under price rigidities.",
     )
@@ -279,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the mechanism and print its trace")
     p.add_argument("economy")
-    p.add_argument("--seed", type=int, default=None, help="lottery PRNG seed (default 0)")
+    p.add_argument(
+        "--seed", type=_int_flag("--seed"), default=None, help="lottery PRNG seed (default 0)"
+    )
     p.add_argument(
         "--scripted-winners",
         default=None,
@@ -296,18 +329,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expect", help="exact expected profits and prices")
     p.add_argument("economy")
     p.add_argument("--histories", action="store_true", help="also list every terminal history")
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
+    p.add_argument("--node-limit", type=_int_flag("--node-limit"), default=DEFAULT_NODE_LIMIT)
     p.set_defaults(func=_cmd_expect)
 
     p = sub.add_parser("manipulate", help="misreport analysis for one buyer")
     p.add_argument("economy")
-    p.add_argument("--buyer", type=int, default=1)
-    p.add_argument("--cap", type=int, default=None, help="search box edge per item")
+    p.add_argument("--buyer", type=_int_flag("--buyer"), default=1)
+    p.add_argument(
+        "--cap", type=_int_flag("--cap"), default=None, help="search box edge per item"
+    )
     p.add_argument("--strategy", default=None, help="evaluate one reported value vector")
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
+    p.add_argument("--node-limit", type=_int_flag("--node-limit"), default=DEFAULT_NODE_LIMIT)
     p.set_defaults(func=_cmd_manipulate)
 
-    p = sub.add_parser("matching", help="maximum matching of a demand situation")
+    p = sub.add_parser("matching", help="demand sets and a maximum matching at given prices")
     p.add_argument("economy")
     p.add_argument("--prices", default=None, help="real-item prices (default: lower bounds)")
     p.add_argument(
@@ -321,9 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (TreeSizeExceeded, SizeGuard) as exc:
         print(str(exc), file=sys.stderr)

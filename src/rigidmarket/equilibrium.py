@@ -19,17 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Mapping, Optional
 
 from .errors import SizeGuard
-from .model import (
-    DUMMY,
-    Allocation,
-    DemandSituation,
-    Economy,
-    RationingSystem,
-    demand_set,
-)
+from .model import DUMMY, Allocation, Economy, RationingSystem, demand_set
 
 CONDITION_NAMES = (
     "admissible prices and well-formed rationing",
@@ -128,8 +121,12 @@ def check_cwe(
     return EquilibriumCertificate(tuple(verdicts))
 
 
+def _demanded_items(demands: Mapping[int, frozenset[int]]) -> frozenset[int]:
+    return frozenset().union(*demands.values()) - {DUMMY}
+
+
 def brute_force_equilibrium_allocation(
-    situation: DemandSituation, guard: int = 25
+    demands: Mapping[int, frozenset[int]], guard: int = 25
 ) -> Optional[Allocation]:
     """Exhaustive search for an allocation serving every real-item demander.
 
@@ -137,13 +134,12 @@ def brute_force_equilibrium_allocation(
     dummy) or None.  Guarded: refuses instances with more than ``guard``
     buyer-item cells.
     """
-    buyers = situation.buyers()
-    universe = situation.demanded_items()
-    if len(buyers) * (len(universe) + 1) > guard:
+    universe = _demanded_items(demands)
+    if len(demands) * (len(universe) + 1) > guard:
         raise SizeGuard("instance too large for exhaustive allocation search")
 
-    demanders = situation.demanders()
-    n = max(buyers, default=0)
+    demanders = sorted(i for i, d in demands.items() if DUMMY not in d)
+    n = max(demands, default=0)
 
     chosen: dict[int, int] = {}
     used: set[int] = set()
@@ -152,7 +148,7 @@ def brute_force_equilibrium_allocation(
         if k == len(demanders):
             return True
         i = demanders[k]
-        for a in sorted(situation.demands[i]):
+        for a in sorted(demands[i]):
             if a not in used:
                 used.add(a)
                 chosen[i] = a
@@ -167,28 +163,29 @@ def brute_force_equilibrium_allocation(
     return Allocation(tuple(chosen.get(i, DUMMY) for i in range(1, n + 1)))
 
 
-def over_demanded_sets(situation: DemandSituation, guard: int = 15) -> list[frozenset[int]]:
+def over_demanded_sets(
+    demands: Mapping[int, frozenset[int]], guard: int = 15
+) -> list[frozenset[int]]:
     """All over-demanded subsets of the demanded items, by direct counting.
 
     Exponential; intended as a test oracle only.  Any over-demanded set
     restricted to demanded items stays over-demanded, so the enumeration
     over demanded items is exhaustive for existence and minimality.
     """
-    items = sorted(situation.demanded_items())
+    items = sorted(_demanded_items(demands))
     if len(items) > guard:
         raise SizeGuard("too many items for subset enumeration")
-    demands = list(situation.demands.values())
     found = []
     for size in range(1, len(items) + 1):
         for combo in combinations(items, size):
             subset = frozenset(combo)
-            if sum(1 for d in demands if d <= subset) > size:
+            if sum(1 for d in demands.values() if d <= subset) > size:
                 found.append(subset)
     return found
 
 
 def minimal_over_demanded_sets(
-    situation: DemandSituation, guard: int = 15
+    demands: Mapping[int, frozenset[int]], guard: int = 15
 ) -> list[frozenset[int]]:
-    sets = over_demanded_sets(situation, guard)
+    sets = over_demanded_sets(demands, guard)
     return [s for s in sets if not any(t < s for t in sets)]

@@ -1,52 +1,38 @@
-"""Bipartite demand graphs and augmenting-path maximum matchings.
+"""Maximum matchings on buyers' demand mappings, by augmenting paths.
 
-A demand situation becomes a bipartite graph whose left vertices are the
-buyers insisting on real items (dummy not in their demand set) and whose
-right vertices are the items they demand.  One call to :func:`augment`
-either flips a single shortest augmenting path, growing the matching by
-one edge, or returns its input unchanged when the matching is maximum.
-:func:`maximum_matching` returns the same matching as iterating
-:func:`augment` to its fixed point, but makes one greedy pass first and
-then flips the remaining shortest augmenting paths in place.
+A demand mapping takes each buyer to its demand set.  Its graph,
+:func:`build_graph`, maps each buyer insisting on real items (dummy not
+in its demand set) to the items it demands.  One call to
+:func:`augment` either flips a single shortest augmenting path, growing
+the matching by one edge, or returns its input unchanged when the
+matching is maximum.  :func:`maximum_matching` returns the same matching
+as iterating :func:`augment` to its fixed point, but makes one greedy
+pass first and then flips the remaining shortest augmenting paths in
+place.
 
 Search order is fixed so that repeated runs produce the same matching:
 the breadth-first search starts from unmatched buyers in ascending id
-order and scans neighbours in ascending item index order.  Downstream
-set computations rely on this determinism: ``mods`` grows its set from
-the lowest buyer the matching leaves unmatched.
+order and scans neighbours in ascending item index order.  The graph is
+keyed in ascending buyer order, so the order a demand mapping was built
+in does not matter.  Downstream set computations rely on this
+determinism: ``mods`` grows its set from the lowest buyer the matching
+leaves unmatched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidMatching
-from .model import DUMMY, Allocation, DemandSituation
+from .model import DUMMY, Allocation
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    left: tuple[int, ...]
-    adj: dict[int, tuple[int, ...]]  # buyer -> demanded real items, ascending
+def build_graph(demands: Mapping[int, frozenset[int]]) -> dict[int, tuple[int, ...]]:
+    """Each buyer not content with the dummy -> its demanded items, ascending.
 
-    @property
-    def right(self) -> frozenset[int]:
-        out: set[int] = set()
-        for items in self.adj.values():
-            out.update(items)
-        return frozenset(out)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(items) for items in self.adj.values())
-
-
-def build_graph(situation: DemandSituation) -> BipartiteGraph:
-    """Graph of a demand situation; buyers content with the dummy are omitted."""
-    left = situation.demanders()
-    adj = {i: tuple(sorted(situation.demands[i])) for i in left}
-    return BipartiteGraph(left, adj)
+    Keyed in ascending buyer order, whatever the order of ``demands``.
+    """
+    return {i: tuple(sorted(demands[i])) for i in sorted(demands) if DUMMY not in demands[i]}
 
 
 class Matching:
@@ -107,27 +93,28 @@ class Matching:
         return f"Matching({inside})"
 
 
-def _check_matching(graph: BipartiteGraph, matching: Matching) -> None:
+def _check_matching(graph: Mapping[int, tuple[int, ...]], matching: Matching) -> None:
     for buyer, item in matching.buyer_to_item.items():
-        if buyer not in graph.adj or item not in graph.adj[buyer]:
+        if buyer not in graph or item not in graph[buyer]:
             raise InvalidMatching(f"edge ({buyer}, {item}) is not in the graph")
 
 
-def _augment_path(graph: BipartiteGraph, b2i: dict[int, int], i2b: dict[int, int]) -> bool:
+def _augment_path(
+    graph: Mapping[int, tuple[int, ...]], b2i: dict[int, int], i2b: dict[int, int]
+) -> bool:
     """Flip one shortest augmenting path in the maps ``b2i``/``i2b``, in place.
 
     Runs one multi-source BFS, linear in the number of edges, from the
-    unmatched buyers in ``graph.left`` order.  Returns False, leaving the
-    maps untouched, when no augmenting path exists.
+    unmatched buyers in ``graph`` order.  Returns False, leaving the maps
+    untouched, when no augmenting path exists.
     """
-    adj = graph.adj
-    queue = [i for i in graph.left if i not in b2i]
+    queue = [i for i in graph if i not in b2i]
     reached_from: dict[int, int] = {}  # item -> buyer that discovered it
     # The loop also visits the holders appended during it.  A holder is
     # appended only when its one matched item is first reached, so no
     # buyer is queued twice.
     for buyer in queue:
-        for item in adj[buyer]:
+        for item in graph[buyer]:
             if item in reached_from:
                 continue
             reached_from[item] = buyer
@@ -146,7 +133,7 @@ def _augment_path(graph: BipartiteGraph, b2i: dict[int, int], i2b: dict[int, int
     return False
 
 
-def augment(graph: BipartiteGraph, matching: Matching) -> Matching:
+def augment(graph: Mapping[int, tuple[int, ...]], matching: Matching) -> Matching:
     """One augmenting step: flip a single shortest alternating path.
 
     Returns a matching one edge larger whose matched-vertex set contains
@@ -161,7 +148,9 @@ def augment(graph: BipartiteGraph, matching: Matching) -> Matching:
     return Matching._from_maps(b2i, i2b)
 
 
-def maximum_matching(graph: BipartiteGraph, start: Optional[Matching] = None) -> Matching:
+def maximum_matching(
+    graph: Mapping[int, tuple[int, ...]], start: Optional[Matching] = None
+) -> Matching:
     """The fixed point of :func:`augment` from ``start`` (default: empty).
 
     Two facts about :func:`augment`'s search make a greedy pass exact.
@@ -169,7 +158,7 @@ def maximum_matching(graph: BipartiteGraph, start: Optional[Matching] = None) ->
     unmatched buyer has a free item, a step gives the lowest such buyer
     its lowest free item.  And free items never come back, so a buyer
     that finds none free now never finds one later.  Hence one pass over
-    ``graph.left`` in order, giving each unmatched buyer its lowest free
+    ``graph`` in order, giving each unmatched buyer its lowest free
     item, makes exactly those one-edge steps; the longer paths that are
     left are then flipped in place by the same BFS as :func:`augment`.
     """
@@ -180,10 +169,10 @@ def maximum_matching(graph: BipartiteGraph, start: Optional[Matching] = None) ->
         _check_matching(graph, start)
         b2i = dict(start.buyer_to_item)
         i2b = dict(start.item_to_buyer)
-    for buyer in graph.left:
+    for buyer, items in graph.items():
         if buyer in b2i:
             continue
-        for item in graph.adj[buyer]:
+        for item in items:
             if item not in i2b:
                 b2i[buyer] = item
                 i2b[item] = buyer
@@ -193,9 +182,9 @@ def maximum_matching(graph: BipartiteGraph, start: Optional[Matching] = None) ->
     return Matching._from_maps(b2i, i2b)
 
 
-def max_matching(situation: DemandSituation) -> Matching:
-    """Deterministic maximum matching of the situation's demand graph."""
-    return maximum_matching(build_graph(situation))
+def max_matching(demands: Mapping[int, frozenset[int]]) -> Matching:
+    """Deterministic maximum matching of the demand mapping's graph."""
+    return maximum_matching(build_graph(demands))
 
 
 def matching_to_allocation(matching: Matching, n_buyers: int) -> Allocation:
@@ -203,6 +192,6 @@ def matching_to_allocation(matching: Matching, n_buyers: int) -> Allocation:
     return Allocation(tuple(matching.buyer_to_item.get(i, DUMMY) for i in range(1, n_buyers + 1)))
 
 
-def equilibrium_allocation_exists(situation: DemandSituation) -> bool:
+def equilibrium_allocation_exists(demands: Mapping[int, frozenset[int]]) -> bool:
     """True when every buyer insisting on real items can be served one she demands."""
-    return len(max_matching(situation)) == len(situation.demanders())
+    return len(max_matching(demands)) == sum(DUMMY not in d for d in demands.values())

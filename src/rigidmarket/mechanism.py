@@ -34,15 +34,7 @@ from typing import Mapping, Optional, Protocol, Sequence
 
 from .errors import NoEntrants, ScriptError, UpperBoundViolation
 from .matching import Matching, matching_to_allocation, max_matching, maximum_matching, build_graph
-from .model import (
-    DUMMY,
-    Allocation,
-    DemandSituation,
-    Economy,
-    RationingSystem,
-    demand_set,
-    settled_demand,
-)
+from .model import DUMMY, Allocation, Economy, RationingSystem, demand_set, settled_demand
 from .overdemand import mods
 
 
@@ -70,9 +62,6 @@ class SeededLottery:
 
     def choose(self, round_t, item, entrants):
         return self._rng.choice(list(entrants))
-
-    def finish(self):
-        pass
 
 
 class ScriptedLottery:
@@ -180,11 +169,11 @@ def gate(economy: Economy, state: MechanismState):
     ``state.demands`` (the unsold ones) that insists on real items can be
     matched, i.e. the run may settle.
     """
-    situation = DemandSituation(state.demands)
-    matched = max_matching(situation)
-    if len(matched) == len(situation.demanders()):
+    demands = state.demands
+    matched = max_matching(demands)
+    if len(matched) == sum(DUMMY not in d for d in demands.values()):
         return None, ()
-    x_min = mods(situation, matched)
+    x_min = mods(demands, matched)
     xbar = tuple(a for a in sorted(x_min) if state.prices[a] == economy.upper_bounds[a])
     return x_min, xbar
 
@@ -278,12 +267,10 @@ def rm(
         if not sold.covers_item(a) and prices[a] > lower_bounds[a]
     )
     touching = {i: d & marked_up for i, d in demands.items() if d & marked_up}
-    pinned = max_matching(DemandSituation(touching))
+    pinned = max_matching(touching)
 
-    graph = build_graph(DemandSituation(dict(demands)))
-    seed_pairs = [
-        (i, a) for i, a in pinned.pairs() if i in graph.adj and a in graph.adj[i]
-    ]
+    graph = build_graph(demands)
+    seed_pairs = [(i, a) for i, a in pinned.pairs() if i in graph and a in graph[i]]
     grown = maximum_matching(graph, Matching(seed_pairs))
 
     extra = [

@@ -131,30 +131,6 @@ class RationingSystem:
 
 
 @dataclass(frozen=True)
-class DemandSituation:
-    """A snapshot of demand sets, keyed by buyer id.
-
-    May cover all buyers of an economy or any subset (e.g. only the
-    buyers that have not bought yet).
-    """
-
-    demands: Mapping[int, frozenset[int]]
-
-    def buyers(self) -> tuple[int, ...]:
-        return tuple(sorted(self.demands))
-
-    def demanders(self) -> tuple[int, ...]:
-        """Buyers whose demand contains no dummy: they insist on a real item."""
-        return tuple(i for i in sorted(self.demands) if DUMMY not in self.demands[i])
-
-    def demanded_items(self) -> frozenset[int]:
-        out: set[int] = set()
-        for d in self.demands.values():
-            out |= d
-        return frozenset(out - {DUMMY})
-
-
-@dataclass(frozen=True)
 class Allocation:
     """An assignment of items to buyers; ``assignment[i-1]`` is buyer i's item.
 
@@ -178,10 +154,6 @@ class Allocation:
 
     def assigned_items(self) -> frozenset[int]:
         return frozenset(a for a in self.assignment if a != DUMMY)
-
-    def holders(self) -> dict[int, int]:
-        """Map item -> buyer for real items."""
-        return {a: i for i, a in enumerate(self.assignment, start=1) if a != DUMMY}
 
 
 def _is_int(value) -> bool:
@@ -367,8 +339,8 @@ def demand_situation(
     prices,
     rationing: RationingSystem,
     buyers: Optional[Iterable[int]] = None,
-) -> DemandSituation:
-    """Demand sets of the given buyers (all buyers when unspecified)."""
+) -> dict[int, frozenset[int]]:
+    """Demand set of each given buyer (all buyers when unspecified), by buyer id."""
     if buyers is None:
         buyers = economy.buyers
-    return DemandSituation({i: demand_set(economy, prices, rationing, i) for i in buyers})
+    return {i: demand_set(economy, prices, rationing, i) for i in buyers}

@@ -6,19 +6,20 @@ when no equilibrium allocation does.  ``mods`` first grows a witness set
 from an unserved buyer by alternating between demanded items and their
 current holders, then filters it down to a minimal over-demanded set.
 
-Both stages follow fixed orders (lowest unmatched buyer as seed, items
-scanned in ascending index), so the result is a deterministic function
-of the demand situation.
+Demand sets come as a mapping from buyer to demand set.  Both stages
+follow fixed orders (lowest unmatched buyer as seed, items scanned in
+ascending index), so the result is a deterministic function of the
+demand sets, whatever the mapping's order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import DummyInSet, EquilibriumExists
 from .matching import Matching, max_matching
-from .model import DUMMY, DemandSituation
+from .model import DUMMY
 
 
 def _require_real(items: Iterable[int]) -> frozenset[int]:
@@ -28,26 +29,22 @@ def _require_real(items: Iterable[int]) -> frozenset[int]:
     return items
 
 
-def is_over_demanded(situation: DemandSituation, items: Iterable[int]) -> bool:
+def is_over_demanded(demands: Mapping[int, frozenset[int]], items: Iterable[int]) -> bool:
     """More buyers demand only items of this set than the set has items."""
     items = _require_real(items)
-    exclusive = sum(1 for d in situation.demands.values() if d <= items)
+    exclusive = sum(1 for d in demands.values() if d <= items)
     return exclusive > len(items)
 
 
-def is_not_under_demanded(situation: DemandSituation, items: Iterable[int]) -> bool:
+def is_not_under_demanded(demands: Mapping[int, frozenset[int]], items: Iterable[int]) -> bool:
     """At least as many buyers touch the set as it has items."""
     items = _require_real(items)
-    touching = sum(1 for d in situation.demands.values() if d & items)
+    touching = sum(1 for d in demands.values() if d & items)
     return touching >= len(items)
 
 
-def _unmatched_demanders(situation: DemandSituation, matching: Matching) -> list[int]:
-    return [i for i in situation.demanders() if not matching.covers_buyer(i)]
-
-
 def grow_over_demanded(
-    situation: DemandSituation, matching: Matching
+    demands: Mapping[int, frozenset[int]], matching: Matching
 ) -> tuple[frozenset[int], int]:
     """Grow an over-demanded set from the lowest-id unserved buyer.
 
@@ -62,13 +59,15 @@ def grow_over_demanded(
     path), so the fixed point has as many holders as items, plus the
     unmatched seed demanding inside it: over-demanded.
     """
-    unmatched = _unmatched_demanders(situation, matching)
-    if not unmatched:
+    seed = min(
+        (i for i, d in demands.items() if DUMMY not in d and not matching.covers_buyer(i)),
+        default=None,
+    )
+    if seed is None:
         raise EquilibriumExists("every demander is matched; no over-demanded set")
-    seed = unmatched[0]
 
     grown: set[int] = set()
-    frontier = set(situation.demands[seed])
+    frontier = set(demands[seed])
     while frontier:
         holders = {
             matching.item_to_buyer[a] for a in frontier if matching.covers_item(a)
@@ -76,27 +75,26 @@ def grow_over_demanded(
         grown |= frontier
         frontier = set()
         for j in holders:
-            frontier |= situation.demands[j]
+            frontier |= demands[j]
         frontier -= grown
     return frozenset(grown), seed
 
 
-def mods(situation: DemandSituation, matching: Matching) -> frozenset[int]:
-    """A minimal over-demanded set of the situation.
+def mods(demands: Mapping[int, frozenset[int]], matching: Matching) -> frozenset[int]:
+    """A minimal over-demanded set of the demand sets.
 
     Filters the grown set one item at a time, in ascending item index:
     an item is kept exactly when dropping it would let all buyers
     confined to the remaining candidate set be matched inside it.
     """
-    grown, _ = grow_over_demanded(situation, matching)
+    grown, _ = grow_over_demanded(demands, matching)
     x_min: set[int] = set()
     rest = set(grown)
     for a in sorted(grown):
         rest.discard(a)
         candidate = x_min | rest
-        confined = [i for i, d in situation.demands.items() if d <= candidate]
-        sub = DemandSituation({i: situation.demands[i] for i in confined})
-        if len(max_matching(sub)) == len(confined):
+        confined = {i: d for i, d in demands.items() if d <= candidate}
+        if len(max_matching(confined)) == len(confined):
             x_min.add(a)
     return frozenset(x_min)
 
@@ -110,6 +108,8 @@ class OverdemandReport:
     minimal_set: frozenset[int]
 
 
-def overdemand_report(situation: DemandSituation, matching: Matching) -> OverdemandReport:
-    grown, seed = grow_over_demanded(situation, matching)
-    return OverdemandReport(seed, grown, mods(situation, matching))
+def overdemand_report(
+    demands: Mapping[int, frozenset[int]], matching: Matching
+) -> OverdemandReport:
+    grown, seed = grow_over_demanded(demands, matching)
+    return OverdemandReport(seed, grown, mods(demands, matching))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from rigidmarket import DemandSituation, RationingSystem, validate_economy
+from rigidmarket import RationingSystem, validate_economy
 
 ITEM_LETTERS = "abcdefgh"
 
@@ -97,4 +97,4 @@ def demand_situations(draw, max_buyers=4, max_items=4):
         min_real = 0 if with_dummy else 1
         real = draw(st.sets(st.integers(1, m), min_size=min_real, max_size=m))
         demands[i] = frozenset(real | ({0} if with_dummy else set()))
-    return DemandSituation(demands)
+    return demands

@@ -15,7 +15,6 @@ from typing import Optional
 import pytest
 
 from rigidmarket import (
-    DemandSituation,
     ManipulationProblem,
     RationingSystem,
     ScriptedLottery,
@@ -332,7 +331,7 @@ def test_criterion_08_marked_up_items_always_sellable(suite):
                     overlap = frozenset(row.demands[i - 1]) & marked_up
                     if overlap:
                         restricted[i] = overlap
-                assert len(max_matching(DemandSituation(restricted))) == len(marked_up)
+                assert len(max_matching(restricted)) == len(marked_up)
                 rounds += 1
             assigned = outcome.allocation.assigned_items()
             for a in economy.real_items:

@@ -285,10 +285,26 @@ def test_unreadable_files_exit_one(capsys, tmp_path, data_dir):
         (["manipulate", "--strategy", "4,3,x,7"], "NonIntegerEntry: --strategy: 'x' is not"),
         (["matching", "--prices", "5,4.5,3,5"], "NonIntegerEntry: --prices: '4.5' is not"),
         (["run", "--scripted-winners", "two"], "NonIntegerEntry: --scripted-winners: 'two'"),
-        (["manipulate", "--cap", "-1"], "the value cap must be non-negative"),
+        (["manipulate", "--cap", "-1"], "NegativeEntry: --cap: the value cap must be non-"),
         (["expect", "--node-limit", "-5"], "LimitBelowOne: --node-limit: -5 is below 1"),
         (["manipulate", "--node-limit", "0"], "LimitBelowOne: --node-limit: 0 is below 1"),
         (["matching", "--forbid", "1:o"], "DummyForbidden: buyer 1 cannot be refused"),
+        (["expect", "--node-limit", "abc"], "NonIntegerEntry: --node-limit: 'abc' is not"),
+        (["run", "--seed", "x"], "NonIntegerEntry: --seed: 'x' is not an integer"),
+        (["manipulate", "--buyer", "x"], "NonIntegerEntry: --buyer: 'x' is not an integer"),
+        (["manipulate", "--cap", "x"], "NonIntegerEntry: --cap: 'x' is not an integer"),
+        (["run", "--format", "xml"], "UsageError: argument --format: invalid choice"),
+        (["run", "--bogus"], "UsageError: unrecognized arguments: --bogus"),
+        (["matching", "--prices", "1,1,1,1"], "PriceOutOfBounds: --prices: prices are not"),
+        (["matching", "--forbid", "x"], "ShapeError: --forbid: 'x' is not BUYER:ITEM"),
+        (["matching", "--forbid", "y:c"], "NonIntegerEntry: --forbid: 'y' is not an integer"),
+        (["manipulate", "--buyer", "9"], "UnknownBuyer: --buyer: no buyer 9"),
+        (["manipulate", "--strategy", "1,2"], "ShapeError: --strategy needs 4 values"),
+        (["manipulate", "--strategy=-1,2,3,4"], "NegativeEntry: --strategy: -1 is negative"),
+        (["run", "--seed", "1", "--scripted-winners", "2"], "UsageError: --seed and"),
+        (["run", "--scripted-winners", "7"], "UnknownBuyer: --scripted-winners: no buyer 7"),
+        (["run", "--scripted-winners", "2,2"], "ScriptError: --scripted-winners: 1 scripted"),
+        (["run", "--scripted-winners", "4"], "ScriptError: --scripted-winners: scripted winner 4"),
     ],
     ids=[
         "strategy",
@@ -298,6 +314,22 @@ def test_unreadable_files_exit_one(capsys, tmp_path, data_dir):
         "expect_node_limit",
         "manipulate_node_limit",
         "forbid_dummy",
+        "node_limit_not_integer",
+        "seed_not_integer",
+        "buyer_not_integer",
+        "cap_not_integer",
+        "unknown_choice",
+        "unknown_flag",
+        "inadmissible_prices",
+        "forbid_without_colon",
+        "forbid_buyer_not_integer",
+        "unknown_buyer",
+        "short_strategy",
+        "negative_strategy",
+        "seed_with_scripted_winners",
+        "scripted_winner_unknown",
+        "scripted_winners_unused",
+        "scripted_winner_not_entrant",
     ],
 )
 def test_flag_errors_are_coded(capsys, data_dir, argv, message):
@@ -305,6 +337,17 @@ def test_flag_errors_are_coded(capsys, data_dir, argv, message):
     code, _, err = run_cli(capsys, command, str(data_dir / "example_market.json"), *flags)
     assert code == 1
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_usage_errors_exit_one_and_help_exits_zero(capsys):
+    code, _, err = run_cli(capsys, "run")
+    assert code == 1
+    assert "UsageError: the following arguments are required: economy" in err
+    assert "usage: rigidmarket run" in err
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "--help"])
+    assert exited.value.code == 0
 
 
 def test_node_limit_defaults_share_one_constant():

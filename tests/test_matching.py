@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 
 from rigidmarket import (
-    DemandSituation,
     InvalidMatching,
     Matching,
     RationingSystem,
@@ -21,27 +20,30 @@ from strategies import demand_situations
 
 def contested_situation():
     # five buyers over items a=1, c=3, d=4; only three can be served
-    return DemandSituation(
-        {
-            1: frozenset({3, 4}),
-            2: frozenset({3}),
-            3: frozenset({3}),
-            4: frozenset({1}),
-            5: frozenset({4}),
-        }
-    )
+    return {
+        1: frozenset({3, 4}),
+        2: frozenset({3}),
+        3: frozenset({3}),
+        4: frozenset({1}),
+        5: frozenset({4}),
+    }
 
 
-def brute_force_size(situation):
+def descending(demands):
+    """The same demand sets, inserted in descending buyer order."""
+    return dict(sorted(demands.items(), reverse=True))
+
+
+def brute_force_size(demands):
     """Oracle: maximum served demanders over all edge subsets, by recursion."""
-    buyers = situation.demanders()
+    buyers = [i for i, d in demands.items() if 0 not in d]
 
     def best(k, used):
         if k == len(buyers):
             return 0
         i = buyers[k]
         top = best(k + 1, used)
-        for a in situation.demands[i] - {0} - used:
+        for a in demands[i] - {0} - used:
             top = max(top, 1 + best(k + 1, used | {a}))
         return top
 
@@ -49,19 +51,16 @@ def brute_force_size(situation):
 
 
 def test_build_graph_running_example(market):
-    situation = demand_situation(
-        market, (0, 5, 4, 3, 5), RationingSystem.full(5, 5)
-    )
-    graph = build_graph(situation)
-    assert graph.left == (1, 2, 3, 4, 5)
-    assert graph.right == frozenset({1, 3, 4})
-    assert graph.n_edges == 6
+    demands = demand_situation(market, (0, 5, 4, 3, 5), RationingSystem.full(5, 5))
+    graph = build_graph(demands)
+    assert list(graph.items()) == [(1, (3, 4)), (2, (3,)), (3, (3,)), (4, (1,)), (5, (4,))]
+    assert list(build_graph(descending(demands)).items()) == list(graph.items())
 
 
 def test_buyers_content_with_dummy_are_excluded():
-    graph = build_graph(DemandSituation({1: frozenset({0, 4}), 2: frozenset({4})}))
-    assert graph.left == (2,)
-    assert build_graph(DemandSituation({1: frozenset({0})})).left == ()
+    graph = build_graph({1: frozenset({0, 4}), 2: frozenset({4})})
+    assert list(graph) == [2]
+    assert build_graph({1: frozenset({0})}) == {}
 
 
 def test_augment_from_empty_and_fixed_point():
@@ -89,10 +88,11 @@ def test_max_matching_running_example():
     assert len(found) == 3
     # the fixed search order lands on this exact matching
     assert found == Matching([(1, 3), (4, 1), (5, 4)])
+    assert max_matching(descending(contested_situation())) == found
 
 
 def test_max_matching_empty():
-    assert len(max_matching(DemandSituation({1: frozenset({0})}))) == 0
+    assert len(max_matching({1: frozenset({0})})) == 0
 
 
 def test_matching_to_allocation(market):
@@ -103,20 +103,20 @@ def test_matching_to_allocation(market):
 
 def test_equilibrium_allocation_exists():
     assert not equilibrium_allocation_exists(contested_situation())
-    assert equilibrium_allocation_exists(
-        DemandSituation({1: frozenset({0, 3}), 2: frozenset({3})})
-    )
-    assert equilibrium_allocation_exists(DemandSituation({1: frozenset({0})}))
+    assert equilibrium_allocation_exists({1: frozenset({0, 3}), 2: frozenset({3})})
+    assert equilibrium_allocation_exists({1: frozenset({0})})
 
 
 @given(demand_situations())
-def test_max_matching_size_matches_brute_force(situation):
-    assert len(max_matching(situation)) == brute_force_size(situation)
+def test_max_matching_size_matches_brute_force(demands):
+    found = max_matching(demands)
+    assert len(found) == brute_force_size(demands)
+    assert max_matching(descending(demands)).pairs() == found.pairs()
 
 
 @given(demand_situations())
-def test_augment_grows_and_keeps_matched_vertices(situation):
-    graph = build_graph(situation)
+def test_augment_grows_and_keeps_matched_vertices(demands):
+    graph = build_graph(demands)
     current = Matching()
     while True:
         grown = augment(graph, current)
@@ -127,22 +127,19 @@ def test_augment_grows_and_keeps_matched_vertices(situation):
         assert grown.matched_items() >= current.matched_items()
         current = grown
     # Berge: the fixed point admits no augmenting path, so it is maximum
-    assert len(current) == brute_force_size(situation)
+    assert len(current) == brute_force_size(demands)
 
 
 @given(demand_situations())
-def test_size_invariant_under_relabelling(situation):
-    buyers = situation.buyers()
-    items = sorted({a for d in situation.demands.values() for a in d if a != 0})
+def test_size_invariant_under_relabelling(demands):
+    buyers = sorted(demands)
+    items = sorted({a for d in demands.values() for a in d if a != 0})
     buyer_map = {i: len(buyers) - k for k, i in enumerate(buyers)}
     item_map = {a: items[len(items) - 1 - k] + 10 for k, a in enumerate(items)}
-    relabelled = DemandSituation(
-        {
-            buyer_map[i]: frozenset(item_map.get(a, 0) for a in d)
-            for i, d in situation.demands.items()
-        }
-    )
-    assert len(max_matching(relabelled)) == len(max_matching(situation))
+    relabelled = {
+        buyer_map[i]: frozenset(item_map.get(a, 0) for a in d) for i, d in demands.items()
+    }
+    assert len(max_matching(relabelled)) == len(max_matching(demands))
 
 
 def augment_fixed_point(graph, start):
@@ -160,8 +157,8 @@ def graphs_with_starts(draw):
     """A demand graph and a valid partial matching of it, possibly empty."""
     graph = build_graph(draw(demand_situations(max_buyers=6, max_items=5)))
     pairs, used = [], set()
-    for buyer in draw(st.permutations(graph.left)):
-        free = [a for a in graph.adj[buyer] if a not in used]
+    for buyer in draw(st.permutations(list(graph))):
+        free = [a for a in graph[buyer] if a not in used]
         if free and draw(st.booleans()):
             item = draw(st.sampled_from(free))
             pairs.append((buyer, item))

@@ -96,10 +96,10 @@ def test_tie_demand_at_mid_prices(market):
     rationing = RationingSystem.full(5, 5)
     assert demand_set(market, prices, rationing, 1) == frozenset({3, 4})
     situation = demand_situation(market, prices, rationing)
-    assert situation.demands[2] == frozenset({3})
-    assert situation.demands[3] == frozenset({3})
-    assert situation.demands[4] == frozenset({1})
-    assert situation.demands[5] == frozenset({4})
+    assert situation[2] == frozenset({3})
+    assert situation[3] == frozenset({3})
+    assert situation[4] == frozenset({1})
+    assert situation[5] == frozenset({4})
 
 
 def test_indifferent_buyer_keeps_only_dummy():
@@ -108,7 +108,7 @@ def test_indifferent_buyer_keeps_only_dummy():
     assert indirect_utility(economy, economy.lower_bounds, rationing, 1) == 0
     assert demand_set(economy, economy.lower_bounds, rationing, 1) == frozenset({DUMMY})
     situation = demand_situation(economy, economy.lower_bounds, rationing)
-    assert situation.demanders() == ()
+    assert situation == {1: frozenset({DUMMY})}
 
 
 @given(markets())

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 
 from rigidmarket import (
-    DemandSituation,
     DummyInSet,
     EquilibriumExists,
     equilibrium_allocation_exists,
@@ -22,15 +21,18 @@ from strategies import demand_situations
 
 
 def contested_situation():
-    return DemandSituation(
-        {
-            1: frozenset({3, 4}),
-            2: frozenset({3}),
-            3: frozenset({3}),
-            4: frozenset({1}),
-            5: frozenset({4}),
-        }
-    )
+    return {
+        1: frozenset({3, 4}),
+        2: frozenset({3}),
+        3: frozenset({3}),
+        4: frozenset({1}),
+        5: frozenset({4}),
+    }
+
+
+def descending(demands):
+    """The same demand sets, inserted in descending buyer order."""
+    return dict(sorted(demands.items(), reverse=True))
 
 
 def test_predicates_on_running_demands():
@@ -58,10 +60,12 @@ def test_growth_on_running_demands():
     assert grown == frozenset({3, 4})
     assert seed == 2
     assert is_over_demanded(situation, grown)
+    reverse = descending(situation)
+    assert grow_over_demanded(reverse, max_matching(reverse)) == (grown, seed)
 
 
 def test_growth_single_item_contention():
-    situation = DemandSituation({1: frozenset({1}), 2: frozenset({1})})
+    situation = {1: frozenset({1}), 2: frozenset({1})}
     grown, seed = grow_over_demanded(situation, max_matching(situation))
     assert grown == frozenset({1})
     assert seed == 2
@@ -73,15 +77,17 @@ def test_minimal_set_on_running_demands():
     assert report.grown_set == frozenset({3, 4})
     assert report.minimal_set == frozenset({3})
     assert report.seed_buyer == 2
+    reverse = descending(situation)
+    assert mods(reverse, max_matching(reverse)) == report.minimal_set
 
 
 def test_minimal_set_singleton_contention():
-    situation = DemandSituation({1: frozenset({1}), 2: frozenset({1})})
+    situation = {1: frozenset({1}), 2: frozenset({1})}
     assert mods(situation, max_matching(situation)) == frozenset({1})
 
 
 def test_precondition_guard():
-    situation = DemandSituation({1: frozenset({1}), 2: frozenset({2})})
+    situation = {1: frozenset({1}), 2: frozenset({2})}
     with pytest.raises(EquilibriumExists):
         mods(situation, max_matching(situation))
 
@@ -94,12 +100,16 @@ def test_existence_equivalence_and_minimality(situation):
     assert bool(all_sets) == (not exists)
     if exists:
         return
-    grown, _ = grow_over_demanded(situation, matched)
+    grown, seed = grow_over_demanded(situation, matched)
     assert is_over_demanded(situation, grown)
     minimal = mods(situation, matched)
     assert minimal in minimal_over_demanded_sets(situation)
     # repeated runs land on the same set
     assert mods(situation, max_matching(situation)) == minimal
+    # and so does the same family inserted in descending buyer order
+    reverse = descending(situation)
+    assert grow_over_demanded(reverse, max_matching(reverse)) == (grown, seed)
+    assert mods(reverse, max_matching(reverse)) == minimal
 
 
 @given(demand_situations())
@@ -107,7 +117,7 @@ def test_minimal_set_subsets_are_heavily_demanded(situation):
     if equilibrium_allocation_exists(situation):
         return
     minimal = mods(situation, max_matching(situation))
-    inside = [d for d in situation.demands.values() if d <= minimal]
+    inside = [d for d in situation.values() if d <= minimal]
     for size in range(1, len(minimal) + 1):
         for combo in combinations(sorted(minimal), size):
             touching = sum(1 for d in inside if d & set(combo))
@@ -116,11 +126,9 @@ def test_minimal_set_subsets_are_heavily_demanded(situation):
 
 @given(demand_situations())
 def test_fully_demanded_sets_are_matchable(situation):
-    stripped = DemandSituation(
-        {i: d - {0} for i, d in situation.demands.items() if d - {0}}
-    )
+    stripped = {i: d - {0} for i, d in situation.items() if d - {0}}
     matched = max_matching(stripped)
-    universe = sorted(stripped.demanded_items())
+    universe = sorted(frozenset().union(*stripped.values()))
     for size in range(1, len(universe) + 1):
         for combo in combinations(universe, size):
             subset = frozenset(combo)
