@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -56,10 +57,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_int(text: str, flag: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise CliError(f"NonIntegerEntry: {flag}: {text!r} is not an integer") from None
+    """An optional sign, then ASCII digits; ``int`` alone takes ``1_0`` and non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise CliError(f"NonIntegerEntry: {flag}: {text!r} is not an integer")
+    return int(text)
 
 
 def _int_flag(flag: str):
@@ -83,13 +84,13 @@ def _read_json(path):
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
+        raise CliError(f"FileNotFound: no such file: {path}")
     except json.JSONDecodeError as exc:
-        raise CliError(f"malformed JSON in {path}: {exc}")
+        raise CliError(f"MalformedJSON: malformed JSON in {path}: {exc}")
     except UnicodeDecodeError as exc:
-        raise CliError(f"{path} is not UTF-8 text: {exc}")
+        raise CliError(f"NotUTF8: {path} is not UTF-8 text: {exc}")
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}")
+        raise CliError(f"UnreadableFile: cannot read {path}: {exc.strerror or exc}")
 
 
 def _load(path):
@@ -165,7 +166,7 @@ def _cmd_run(args) -> int:
         for winner in winners:
             if winner not in economy.buyers:
                 raise CliError(f"UnknownBuyer: --scripted-winners: no buyer {winner}")
-        policy = ScriptedLottery(winners)
+        policy = ScriptedLottery(winners, economy.item_names)
     else:
         policy = SeededLottery(args.seed if args.seed is not None else 0)
     try:

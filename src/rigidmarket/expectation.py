@@ -2,30 +2,29 @@
 
 A run of the mechanism is nondeterministic only at lotteries, where each
 of the ``k`` eligible buyers wins with chance ``1/k``.  Expected values
-are therefore exact rationals; this module computes them two independent
-ways:
+are therefore exact rationals; this module computes them two ways:
 
-* :func:`expected_values` walks the lottery tree on its own state:
-  prices, the partial sale, and a rationing in which every sold item is
-  barred to everyone but its holder.  Each node recomputes every unsold
-  buyer's demand from scratch and asks the mechanism's own
-  :func:`~rigidmarket.mechanism.gate` and
-  :func:`~rigidmarket.mechanism.lottery_entrants` whether to settle,
-  raise prices, or hold a lottery.  The value is the sum of each leaf's
-  payoff times its probability.  The strategy module's profit evaluation
-  is the same walk with another payoff.
+* :func:`expected_values` walks the lottery tree on the mechanism's own
+  states and steps: :func:`~rigidmarket.mechanism.refresh_demands`
+  settles each node and :func:`~rigidmarket.mechanism.gate` decides it.
+  Raises that provably replay one round are taken in one
+  :func:`~rigidmarket.mechanism.stable_price_step` jump.  The value is
+  the sum of each leaf's payoff times its probability; the strategy
+  module's profit evaluation is the same walk with another payoff.
 * :func:`enumerate_histories` forks the live mechanism state at every
-  lottery, with the mechanism's incremental demand refresh, and collects
-  one terminal tuple per complete history, with its probability.
+  lottery, raising prices one round at a time, and collects one terminal
+  tuple per complete history, with its probability.
 
 Both walks keep their open nodes on an explicit stack, depth first with
 the entrants in ascending order, so a tree of any depth stays within
 Python's recursion limit and only the node and leaf limits bound it.
 
-The two routes share the round decision but not the demand path, so
+The routes differ in the price jump and in how leaves are scored, so
 their agreement, which the tests check in aggregate and leaf count,
-also checks the mechanism's incremental refresh and its strikes.  All
-arithmetic uses :class:`fractions.Fraction`; floats never appear.
+checks both.  The incremental demand refresh they share is checked by
+the full-refresh oracle ``assert_matches_full_refresh`` in
+``tests/test_mechanism.py``, where every unsold buyer reports every
+round.  All arithmetic uses :class:`fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -45,14 +44,9 @@ from .mechanism import (
     lottery_entrants,
     price_increase_step,
     refresh_demands,
+    stable_price_step,
 )
-from .model import (
-    Allocation,
-    Economy,
-    RationingSystem,
-    demand_set,
-    indirect_utility,
-)
+from .model import Allocation, Economy, RationingSystem, indirect_utility
 
 DEFAULT_NODE_LIMIT = 1_000_000
 
@@ -100,80 +94,52 @@ class ExpectationReport:
     tree_stats: TreeStats
 
 
-def _stable_price_step(economy, prices, demands, x_min, rationing) -> int:
-    """Largest uniform raise of the flagged set that provably repeats the round.
-
-    While every demand set is unchanged the same set gets flagged again,
-    so intermediate rounds can be skipped.  Buyers confined to the set
-    keep their demand until its net benefit falls to their best outside
-    option; a buyer straddling the boundary changes demand immediately.
-    """
-    step = min(economy.upper_bounds[a] - prices[a] for a in x_min)
-    for i, d in demands.items():
-        if not d & x_min:
-            continue
-        if not d <= x_min:
-            return 1
-        row = economy.valuations[i - 1]
-        inside = max(row[a] - prices[a] for a in d)
-        outside = max(
-            row[a] - prices[a] for a in rationing.allowed[i - 1] if a not in x_min
-        )
-        step = min(step, inside - outside)
-    return max(step, 1)
-
-
 def _walk_lottery_tree(
     economy: Economy,
     node_limit: int,
     payoff: Callable[[MechanismState], tuple[Fraction, ...]],
-    early: Optional[Callable] = None,
+    early: Optional[Callable[[MechanismState], Optional[tuple[Fraction, ...]]]] = None,
 ) -> tuple[tuple[Fraction, ...], int, int]:
     """Expected ``payoff`` over the mechanism's lottery tree: (value, nodes, leaves).
 
-    A node is one round, popped from a stack with its probability.
-    ``early(prices, sold)``, when given, may fix a node's value before
-    its round is played.  Otherwise every unsold buyer reports afresh on
-    the sale-encoding rationing, the mechanism's own :func:`gate` decides
-    the round, and a settled node is worth ``payoff`` of its state.
-    Price raises jump by :func:`_stable_price_step`, and the skipped
-    rounds still count as nodes against ``node_limit``.  A lottery node
-    pushes one child per entrant, each with an equal share of its
-    probability.  The value is the probability-weighted sum of the leaves.
+    A node is one round: a :class:`MechanismState` popped from a stack
+    with its probability.  ``early(state)``, when given, may fix a node's
+    value before its round is played.  Otherwise :func:`refresh_demands`
+    settles the reports, :func:`gate` decides the round, and a settled
+    node is worth ``payoff`` of its state.  A raise jumps the
+    :func:`stable_price_step` rounds that repeat this one, and the
+    skipped rounds still count as nodes against ``node_limit``.  A
+    lottery node pushes one :func:`apply_sale` child per entrant, each
+    with an equal share of its probability.  The value is the
+    probability-weighted sum of the leaves.  :func:`enumerate_histories`
+    shares the refresh, so the full-refresh oracle of
+    ``tests/test_mechanism.py`` is what checks it.
     """
     nodes = leaves = 0
     total = None
-    full = RationingSystem.full(economy.n_buyers, economy.n_items)
-    stack = [(economy.lower_bounds, full, Matching(), Fraction(1))]
+    stack = [(initial_state(economy), Fraction(1))]
     while stack:
-        prices, rationing, sold, probability = stack.pop()
+        state, probability = stack.pop()
         nodes += 1
         if nodes > node_limit:
             raise TreeSizeExceeded(f"lottery tree exceeded {node_limit} nodes", nodes=nodes)
-        value = None if early is None else early(prices, sold)
+        value = None if early is None else early(state)
         if value is None:
-            demands = {
-                i: demand_set(economy, prices, rationing, i)
-                for i in economy.buyers
-                if not sold.covers_buyer(i)
-            }
-            state = MechanismState(0, prices, sold, rationing, active=frozenset(), demands=demands)
+            state = refresh_demands(economy, state)
             x_min, xbar = gate(economy, state)
             if x_min is None:
                 value = payoff(state)
             elif not xbar:
-                step = _stable_price_step(economy, prices, demands, x_min, rationing)
+                step = stable_price_step(economy, state, x_min)
                 nodes += step - 1
-                raised = tuple(p + step if a in x_min else p for a, p in enumerate(prices))
-                stack.append((raised, rationing, sold, probability))
+                stack.append((price_increase_step(economy, state, x_min, step), probability))
                 continue
             else:
                 item = xbar[0]
                 entrants = lottery_entrants(state, item, x_min)
                 share = probability / len(entrants)
                 for winner in reversed(entrants):
-                    sold_on = Matching(sold.pairs() + ((winner, item),))
-                    stack.append((prices, record_sale(rationing, winner, item), sold_on, share))
+                    stack.append((apply_sale(state, item, winner), share))
                 continue
         leaves += 1
         weighted = [probability * v for v in value]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Protocol, Sequence
 
 from .errors import NoEntrants, ScriptError, UpperBoundViolation
@@ -65,11 +65,12 @@ class SeededLottery:
 
 
 class ScriptedLottery:
-    """Plays back a fixed winner list; used for replay and golden runs."""
+    """Plays back a fixed winner list; errors name items by ``item_names`` if given."""
 
-    def __init__(self, winners: Sequence[int]):
+    def __init__(self, winners: Sequence[int], item_names: Optional[Sequence[str]] = None):
         self._winners = list(winners)
         self._next = 0
+        self._item_names = item_names
 
     def choose(self, round_t, item, entrants):
         if self._next >= len(self._winners):
@@ -77,8 +78,9 @@ class ScriptedLottery:
         winner = self._winners[self._next]
         self._next += 1
         if winner not in entrants:
+            name = item if self._item_names is None else self._item_names[item]
             raise ScriptError(
-                f"scripted winner {winner} is not an entrant of the draw on item {item}"
+                f"scripted winner {winner} is not an entrant of the draw on item {name}"
             )
         return winner
 
@@ -159,7 +161,7 @@ def refresh_demands(economy: Economy, state: MechanismState) -> MechanismState:
             rows[i - 1] = row
     if rows is not None:
         rationing = RationingSystem(tuple(rows))
-    return replace(state, rationing=rationing, demands=demands)
+    return MechanismState(state.t, prices, state.sold, rationing, state.active, demands)
 
 
 def gate(economy: Economy, state: MechanismState):
@@ -179,29 +181,58 @@ def gate(economy: Economy, state: MechanismState):
 
 
 def price_increase_step(
-    economy: Economy, state: MechanismState, x_min: frozenset[int]
+    economy: Economy, state: MechanismState, x_min: frozenset[int], step: int = 1
 ) -> MechanismState:
-    """Raise every price in x_min by one unit and open the next round.
+    """Raise every price in x_min by ``step`` units and open round ``t + step``.
 
+    ``step`` is one, or a count of rounds from :func:`stable_price_step`;
+    a member pushed past its cap is an :class:`UpperBoundViolation`.
     Only buyers whose recorded demand meets x_min report again.  That is
     exact: an item outside x_min keeps its price, and items in x_min only
     lose net benefit, so a demand set disjoint from x_min keeps the same
     best items.  ``state`` must carry the settled reports of its round.
+    The full-refresh oracle of ``tests/test_mechanism.py``
+    (``assert_matches_full_refresh``) checks this incremental refresh.
     """
     if not x_min:
         raise ValueError("price increase needs a nonempty item set")
     for a in x_min:
-        if state.prices[a] >= economy.upper_bounds[a]:
-            raise UpperBoundViolation(f"item {a} is already at its upper bound")
-    prices = tuple(
-        p + 1 if a in x_min else p for a, p in enumerate(state.prices)
+        if state.prices[a] + step > economy.upper_bounds[a]:
+            raise UpperBoundViolation(f"raising item {a} by {step} passes its upper bound")
+    prices = tuple(p + step if a in x_min else p for a, p in enumerate(state.prices))
+    active = frozenset(i for i, d in state.demands.items() if not x_min.isdisjoint(d))
+    return MechanismState(
+        state.t + step, prices, state.sold, state.rationing, active, state.demands
     )
-    return replace(
-        state,
-        t=state.t + 1,
-        prices=prices,
-        active=frozenset(i for i, d in state.demands.items() if not x_min.isdisjoint(d)),
-    )
+
+
+def stable_price_step(economy: Economy, state: MechanismState, x_min: frozenset[int]) -> int:
+    """The number ``k`` of single raises of x_min in a row that replay this round.
+
+    ``state`` is settled and its gate flagged x_min with no member capped.
+    A demand inside x_min holds until its net benefit falls to the best
+    unsold allowed item outside x_min (a settled demand is the best over
+    unsold items, whether or not the sold ones are struck yet); one
+    straddling x_min changes at once, one disjoint from it never.  While
+    demands hold the gate flags x_min again, so
+    ``price_increase_step(economy, state, x_min, k)`` lands where ``k``
+    single raises land.  ``tests/test_mechanism.py`` checks the landing
+    against single raises, and the refresh after it against a full
+    refresh (``assert_matches_full_refresh``).
+    """
+    prices = state.prices
+    sold = state.sold.matched_items()
+    step = min(economy.upper_bounds[a] - prices[a] for a in x_min)
+    for i, d in state.demands.items():
+        if d.isdisjoint(x_min):
+            continue
+        if not d <= x_min:
+            return 1
+        row = economy.valuations[i - 1]
+        inside = max(row[a] - prices[a] for a in d)
+        outside = max(row[a] - prices[a] for a in state.rationing.allowed[i - 1] - x_min - sold)
+        step = min(step, inside - outside)
+    return step
 
 
 def lottery_entrants(state: MechanismState, item: int, x_min: frozenset[int]) -> tuple[int, ...]:
@@ -221,7 +252,7 @@ def apply_sale(state: MechanismState, item: int, winner: int) -> MechanismState:
     sold = Matching(state.sold.pairs() + ((winner, item),))
     demands = {i: d for i, d in state.demands.items() if i != winner}
     active = frozenset(i for i, d in demands.items() if item in d)
-    return replace(state, t=state.t + 1, sold=sold, active=active, demands=demands)
+    return MechanismState(state.t + 1, state.prices, sold, state.rationing, active, demands)
 
 
 def lottery_step(

@@ -90,10 +90,10 @@ def _true_profit_of_run(
     the completion matching decides what she receives.
     """
 
-    def early(prices, sold):
-        bought = sold.buyer_to_item.get(manipulator)
+    def early(state):
+        bought = state.sold.buyer_to_item.get(manipulator)
         if bought is not None:
-            return (Fraction(true_row[bought] - prices[bought]),)
+            return (Fraction(true_row[bought] - state.prices[bought]),)
         return None
 
     def payoff(state):

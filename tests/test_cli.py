@@ -266,17 +266,26 @@ def test_dummy_rationing_zero_is_coded(capsys, tmp_path, data_dir):
 
 def test_unreadable_files_exit_one(capsys, tmp_path, data_dir):
     code, _, err = run_cli(capsys, "run", str(tmp_path))
-    assert code == 1 and "cannot read" in err
+    assert code == 1 and "UnreadableFile: cannot read" in err
 
     code, _, err = run_cli(
         capsys, "check", str(data_dir / "example_market.json"), "--tuple", str(tmp_path)
     )
-    assert code == 1 and "cannot read" in err
+    assert code == 1 and "UnreadableFile: cannot read" in err
 
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe\x00")
     code, _, err = run_cli(capsys, "expect", str(binary))
-    assert code == 1 and "not UTF-8" in err
+    assert code == 1 and "NotUTF8: " in err and "not UTF-8" in err
+
+    missing = str(tmp_path / "nope.json")
+    code, _, err = run_cli(capsys, "run", missing)
+    assert code == 1 and err.startswith(f"FileNotFound: no such file: {missing}")
+
+    mangled = tmp_path / "mangled.json"
+    mangled.write_text("{not json")
+    code, _, err = run_cli(capsys, "expect", str(mangled))
+    assert code == 1 and err.startswith("MalformedJSON: malformed JSON in")
 
 
 @pytest.mark.parametrize(
@@ -305,6 +314,9 @@ def test_unreadable_files_exit_one(capsys, tmp_path, data_dir):
         (["run", "--scripted-winners", "7"], "UnknownBuyer: --scripted-winners: no buyer 7"),
         (["run", "--scripted-winners", "2,2"], "ScriptError: --scripted-winners: 1 scripted"),
         (["run", "--scripted-winners", "4"], "ScriptError: --scripted-winners: scripted winner 4"),
+        (["run", "--scripted-winners", "4"], "not an entrant of the draw on item c\n"),
+        (["run", "--seed", "1_0"], "NonIntegerEntry: --seed: '1_0' is not an integer"),
+        (["manipulate", "--strategy", "\u0664,3,9,7"], "NonIntegerEntry: --strategy: '\u0664' is"),
     ],
     ids=[
         "strategy",
@@ -330,6 +342,9 @@ def test_unreadable_files_exit_one(capsys, tmp_path, data_dir):
         "scripted_winner_unknown",
         "scripted_winners_unused",
         "scripted_winner_not_entrant",
+        "scripted_winner_item_name",
+        "seed_with_digit_separator",
+        "strategy_non_ascii_digit",
     ],
 )
 def test_flag_errors_are_coded(capsys, data_dir, argv, message):
