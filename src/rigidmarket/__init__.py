@@ -43,12 +43,10 @@ from .matching import (
     maximum_matching,
 )
 from .overdemand import (
-    OverdemandReport,
     grow_over_demanded,
     is_not_under_demanded,
     is_over_demanded,
     mods,
-    overdemand_report,
 )
 from .equilibrium import (
     CONDITION_NAMES,

@@ -34,7 +34,7 @@ from typing import Mapping, Optional, Protocol, Sequence
 
 from .errors import NoEntrants, ScriptError, UpperBoundViolation
 from .matching import Matching, matching_to_allocation, max_matching, maximum_matching, build_graph
-from .model import DUMMY, Allocation, Economy, RationingSystem, demand_set, settled_demand
+from .model import DUMMY, Allocation, Economy, RationingSystem, settled_demand
 from .overdemand import mods
 
 
@@ -129,10 +129,7 @@ def refresh_demands(economy: Economy, state: MechanismState) -> MechanismState:
     item strikes it and reports again until its demand holds no sold
     item.  Buyers never read each other's permission rows, so each one
     settles on its own, in one :func:`~rigidmarket.model.settled_demand`
-    walk.  An active buyer whose recorded report meets a sold item
-    settled that report at the current prices and permissions just
-    before the sale (:func:`apply_sale`), so a fresh report would return
-    it unchanged and the buyer goes straight to the walk.
+    call that gives the end of that loop directly.
 
     Every other unsold buyer keeps its report in ``state.demands``;
     :func:`price_increase_step` and :func:`apply_sale` only leave a buyer
@@ -144,15 +141,9 @@ def refresh_demands(economy: Economy, state: MechanismState) -> MechanismState:
     demands = dict(state.demands)
     prices = state.prices
     rationing = state.rationing
-    sold = state.sold.matched_items()
+    sold = state.sold.item_to_buyer
     rows = None
     for i in sorted(state.active):
-        report = demands.get(i)
-        if report is None or report.isdisjoint(sold):
-            report = demand_set(economy, prices, rationing, i)
-            if report.isdisjoint(sold):
-                demands[i] = report
-                continue
         allowed = rationing.allowed[i - 1]
         row, demands[i] = settled_demand(economy, prices, allowed, i, sold)
         if row is not allowed:
@@ -221,7 +212,7 @@ def stable_price_step(economy: Economy, state: MechanismState, x_min: frozenset[
     refresh (``assert_matches_full_refresh``).
     """
     prices = state.prices
-    sold = state.sold.matched_items()
+    sold = state.sold.item_to_buyer
     step = min(economy.upper_bounds[a] - prices[a] for a in x_min)
     for i, d in state.demands.items():
         if d.isdisjoint(x_min):
@@ -230,7 +221,8 @@ def stable_price_step(economy: Economy, state: MechanismState, x_min: frozenset[
             return 1
         row = economy.valuations[i - 1]
         inside = max(row[a] - prices[a] for a in d)
-        outside = max(row[a] - prices[a] for a in state.rationing.allowed[i - 1] - x_min - sold)
+        rest = state.rationing.allowed[i - 1].difference(x_min, sold)
+        outside = max(row[a] - prices[a] for a in rest)
         step = min(step, inside - outside)
     return step
 

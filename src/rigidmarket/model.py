@@ -307,27 +307,22 @@ def settled_demand(
 
     ``allowed`` is the buyer's permission row.  Reporting with
     :func:`demand_set` and striking the sold items of each report until a
-    report holds none reaches the same pair in one walk: rank the allowed
-    items by net benefit, and go down the groups of equal net benefit,
-    highest first.  Each group's sold members are struck; the first group
-    with an unsold member ends the walk, and its unsold members are the
-    demand.  The dummy is always allowed and never sold, so the walk ends.
-    When nothing is struck, ``allowed`` itself is returned.
+    report holds none ends at the best net benefit over the unsold
+    allowed items (the dummy is always allowed and never sold, so there
+    is one).  The demand is the unsold items at that best, and the struck
+    items are the sold allowed items at least as good.  When nothing is
+    struck, ``allowed`` itself is returned.
     """
     row = economy.valuations[buyer - 1]
-    # ascending price minus value is descending net benefit
-    ranked = sorted([(prices[a] - row[a], a) for a in allowed])
+    best = max(row[a] - prices[a] for a in allowed if a not in sold)
     struck: list[int] = []
     demand: list[int] = []
-    group = None
-    for cost, a in ranked:
-        if cost != group:
-            if demand:
-                break
-            group = cost
+    for a in allowed:
+        net = row[a] - prices[a]
         if a in sold:
-            struck.append(a)
-        else:
+            if net >= best:
+                struck.append(a)
+        elif net == best:
             demand.append(a)
     if struck:
         allowed = allowed.difference(struck)

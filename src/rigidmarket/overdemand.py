@@ -14,7 +14,6 @@ demand sets, whatever the mapping's order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DummyInSet, EquilibriumExists
@@ -97,19 +96,3 @@ def mods(demands: Mapping[int, frozenset[int]], matching: Matching) -> frozenset
         if len(max_matching(confined)) == len(confined):
             x_min.add(a)
     return frozenset(x_min)
-
-
-@dataclass(frozen=True)
-class OverdemandReport:
-    """Trace of one minimal over-demanded set computation."""
-
-    seed_buyer: int
-    grown_set: frozenset[int]
-    minimal_set: frozenset[int]
-
-
-def overdemand_report(
-    demands: Mapping[int, frozenset[int]], matching: Matching
-) -> OverdemandReport:
-    grown, seed = grow_over_demanded(demands, matching)
-    return OverdemandReport(seed, grown, mods(demands, matching))

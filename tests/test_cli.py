@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ from rigidmarket.cli import build_parser, main
 from rigidmarket.expectation import DEFAULT_NODE_LIMIT
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -381,6 +383,24 @@ def test_scripts_run_from_another_directory(tmp_path, script):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
+    "flags, code", [((), 0), (("--node-limit", "0"), 1), (("--node-limit", "3"), 2)]
+)
+def test_module_entry_exits_with_main_code(tmp_path, data_dir, flags, code):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    economy = str(data_dir / "example_market.json")
+    done = subprocess.run(
+        [sys.executable, "-m", "rigidmarket.cli", "expect", economy, *flags],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 SMALL_INTS = st.integers(-3, 20)

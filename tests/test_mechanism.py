@@ -286,8 +286,9 @@ def test_post_sale_report_is_a_fresh_report(market):
             break
         state = price_increase_step(market, state, x_min)
     state, _ = lottery_step(state, 3, x_min, ScriptedLottery([2]))
-    # buyer 3 lost c: its recorded report meets the sold item and is what
-    # a fresh report at the same prices and permissions would return
+    # buyer 3 lost c: apply_sale makes it the only active buyer and keeps
+    # its pre-sale report, which meets the sold item and still equals a
+    # fresh report; the refresh settles it past c to d
     assert state.active == frozenset({3})
     assert state.demands[3] == frozenset({3})
     assert demand_set(market, state.prices, state.rationing, 3) == state.demands[3]

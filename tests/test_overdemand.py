@@ -14,7 +14,6 @@ from rigidmarket import (
     minimal_over_demanded_sets,
     mods,
     over_demanded_sets,
-    overdemand_report,
 )
 
 from strategies import demand_situations
@@ -73,12 +72,14 @@ def test_growth_single_item_contention():
 
 def test_minimal_set_on_running_demands():
     situation = contested_situation()
-    report = overdemand_report(situation, max_matching(situation))
-    assert report.grown_set == frozenset({3, 4})
-    assert report.minimal_set == frozenset({3})
-    assert report.seed_buyer == 2
+    matched = max_matching(situation)
+    grown, seed = grow_over_demanded(situation, matched)
+    minimal = mods(situation, matched)
+    assert grown == frozenset({3, 4})
+    assert minimal == frozenset({3})
+    assert seed == 2
     reverse = descending(situation)
-    assert mods(reverse, max_matching(reverse)) == report.minimal_set
+    assert mods(reverse, max_matching(reverse)) == minimal
 
 
 def test_minimal_set_singleton_contention():
