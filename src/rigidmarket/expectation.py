@@ -41,7 +41,6 @@ from .mechanism import (
     complete_run,
     gate,
     initial_state,
-    lottery_entrants,
     price_increase_step,
     refresh_demands,
     stable_price_step,
@@ -97,8 +96,8 @@ class ExpectationReport:
 def _walk_lottery_tree(
     economy: Economy,
     node_limit: int,
-    payoff: Callable[[MechanismState], tuple[Fraction, ...]],
-    early: Optional[Callable[[MechanismState], Optional[tuple[Fraction, ...]]]] = None,
+    payoff: Callable[[MechanismState], tuple[int, ...]],
+    early: Optional[Callable[[MechanismState], Optional[tuple[int, ...]]]] = None,
 ) -> tuple[tuple[Fraction, ...], int, int]:
     """Expected ``payoff`` over the mechanism's lottery tree: (value, nodes, leaves).
 
@@ -111,7 +110,8 @@ def _walk_lottery_tree(
     skipped rounds still count as nodes against ``node_limit``.  A
     lottery node pushes one :func:`apply_sale` child per entrant, each
     with an equal share of its probability.  The value is the
-    probability-weighted sum of the leaves.  :func:`enumerate_histories`
+    probability-weighted sum of the leaves; payoffs are integers and
+    probabilities are Fractions, so it is exact.  :func:`enumerate_histories`
     shares the refresh, so the full-refresh oracle of
     ``tests/test_mechanism.py`` is what checks it.
     """
@@ -126,17 +126,15 @@ def _walk_lottery_tree(
         value = None if early is None else early(state)
         if value is None:
             state = refresh_demands(economy, state)
-            x_min, xbar = gate(economy, state)
+            x_min, item, entrants = gate(economy, state)
             if x_min is None:
                 value = payoff(state)
-            elif not xbar:
+            elif item is None:
                 step = stable_price_step(economy, state, x_min)
                 nodes += step - 1
                 stack.append((price_increase_step(economy, state, x_min, step), probability))
                 continue
             else:
-                item = xbar[0]
-                entrants = lottery_entrants(state, item, x_min)
                 share = probability / len(entrants)
                 for winner in reversed(entrants):
                     stack.append((apply_sale(state, item, winner), share))
@@ -156,12 +154,11 @@ def expected_values(
     some history; :class:`TreeSizeExceeded` carries the count reached.
     """
 
-    def payoff(state: MechanismState) -> tuple[Fraction, ...]:
+    def payoff(state: MechanismState) -> tuple[int, ...]:
         profits = tuple(
-            Fraction(indirect_utility(economy, state.prices, state.rationing, i))
-            for i in economy.buyers
+            indirect_utility(economy, state.prices, state.rationing, i) for i in economy.buyers
         )
-        return profits + tuple(Fraction(p) for p in state.prices) + (Fraction(1),)
+        return profits + state.prices + (1,)
 
     value, nodes, leaves = _walk_lottery_tree(economy, node_limit, payoff)
     n = economy.n_buyers
@@ -205,9 +202,9 @@ def enumerate_histories(
     while stack:
         state, probability, winners = stack.pop()
         state = refresh_demands(economy, state)
-        x_min, xbar = gate(economy, state)
+        x_min, item, entrants = gate(economy, state)
         if x_min is None:
-            _, allocation = complete_run(economy, state)
+            allocation = complete_run(economy, state)
             leaves.append(
                 HistoryLeaf(probability, state.prices, state.rationing, allocation, winners)
             )
@@ -215,11 +212,9 @@ def enumerate_histories(
                 raise TreeSizeExceeded(
                     f"history enumeration exceeded {max_leaves} leaves", leaves=len(leaves)
                 )
-        elif not xbar:
+        elif item is None:
             stack.append((price_increase_step(economy, state, x_min), probability, winners))
         else:
-            item = xbar[0]
-            entrants = lottery_entrants(state, item, x_min)
             share = probability / len(entrants)
             for winner in reversed(entrants):
                 child = apply_sale(state, item, winner)

@@ -156,19 +156,29 @@ def refresh_demands(economy: Economy, state: MechanismState) -> MechanismState:
 
 
 def gate(economy: Economy, state: MechanismState):
-    """Post-refresh seller computation: minimal over-demanded set, if any.
+    """The seller's decision for a settled round: (x_min, item, entrants).
 
-    Returns (x_min, xbar); x_min is None when every buyer in
-    ``state.demands`` (the unsold ones) that insists on real items can be
-    matched, i.e. the run may settle.
+    ``(None, None, ())`` settles the run: every buyer in ``state.demands``
+    (the unsold ones) that insists on real items can be matched.
+    ``(x_min, None, ())`` raises the prices of the minimal over-demanded
+    set x_min, no member of which is at its cap.  Otherwise ``item`` is
+    the lowest capped member of x_min and ``entrants``, ascending, are the
+    buyers who demand it and nothing outside x_min; they draw lots for it.
+    A capped item with no entrant raises :class:`NoEntrants`.
     """
     demands = state.demands
     matched = max_matching(demands)
     if len(matched) == sum(DUMMY not in d for d in demands.values()):
-        return None, ()
+        return None, None, ()
     x_min = mods(demands, matched)
-    xbar = tuple(a for a in sorted(x_min) if state.prices[a] == economy.upper_bounds[a])
-    return x_min, xbar
+    caps = economy.upper_bounds
+    item = min((a for a in x_min if state.prices[a] == caps[a]), default=None)
+    if item is None:
+        return x_min, None, ()
+    entrants = tuple(sorted(i for i, d in demands.items() if item in d and d <= x_min))
+    if not entrants:
+        raise NoEntrants(f"no eligible buyers for item {item}")
+    return x_min, item, entrants
 
 
 def price_increase_step(
@@ -227,11 +237,6 @@ def stable_price_step(economy: Economy, state: MechanismState, x_min: frozenset[
     return step
 
 
-def lottery_entrants(state: MechanismState, item: int, x_min: frozenset[int]) -> tuple[int, ...]:
-    """Buyers eligible to draw: they demand the item and nothing outside x_min."""
-    return tuple(sorted(i for i, d in state.demands.items() if item in d and d <= x_min))
-
-
 def apply_sale(state: MechanismState, item: int, winner: int) -> MechanismState:
     """Sell ``item`` to ``winner`` and open the next round.
 
@@ -250,17 +255,15 @@ def apply_sale(state: MechanismState, item: int, winner: int) -> MechanismState:
 def lottery_step(
     state: MechanismState,
     item: int,
-    x_min: frozenset[int],
+    entrants: tuple[int, ...],
     policy: LotteryPolicy,
 ) -> tuple[MechanismState, LotteryEvent]:
-    """Draw lots for an item at its price cap; the winner buys and leaves.
+    """Draw lots for ``item`` among ``entrants``, as :func:`gate` returns them.
 
-    Losers are not rationed here: they discover the sale next round and
-    strike the item then, exactly as with any other sold item.
+    The winner buys at the cap and leaves.  Losers are not rationed
+    here: they discover the sale next round and strike the item then,
+    exactly as with any other sold item.
     """
-    entrants = lottery_entrants(state, item, x_min)
-    if not entrants:
-        raise NoEntrants(f"no eligible buyers for item {item}")
     winner = policy.choose(state.t, item, entrants)
     event = LotteryEvent(round=state.t, item=item, entrants=entrants, winner=winner)
     return apply_sale(state, item, winner), event
@@ -309,7 +312,6 @@ class TraceRow:
     """One round as the seller saw it, after demand reports settled."""
 
     label: str
-    t: int
     prices: tuple[int, ...]
     x_min: tuple[int, ...]
     u_sets: tuple[tuple[int, ...], ...]
@@ -333,10 +335,13 @@ class Trace:
     item_names: tuple[str, ...]
     n_buyers: int
     rows: tuple[TraceRow, ...]
-    events: tuple[LotteryEvent, ...]
     final_prices: tuple[int, ...]
     final_rationing_zeros: tuple[tuple[int, int], ...]
     final_allocation: tuple[int, ...]
+
+    @property
+    def events(self) -> tuple[LotteryEvent, ...]:
+        return tuple(row.lottery for row in self.rows if row.lottery is not None)
 
     def _names(self, items) -> list[str]:
         return [self.item_names[a] for a in sorted(items)]
@@ -375,11 +380,11 @@ class Trace:
         repeat most of their item sets and whole ``U``/``D`` columns, so
         the line is joined from pre-encoded pieces: each item name is
         encoded once with ``json.dumps``, each distinct item set once, and
-        each ``U``/``D`` column object once.
+        a ``U``/``D`` column only when it is not the previous row's column
+        object (run_mapr hands unchanged columns on as the same object).
         """
         quoted = [json.dumps(name) for name in self.item_names]
         encoded_sets: dict[tuple[int, ...], str] = {}
-        encoded_columns: dict[int, tuple[tuple, str]] = {}
 
         def encode_set(items: tuple[int, ...]) -> str:
             text = encoded_sets.get(items)
@@ -388,16 +393,15 @@ class Trace:
             return text
 
         def encode_column(cells: tuple) -> str:
-            # keyed by identity: run_mapr hands unchanged columns on as the
-            # same object, and the cache holds each column alive
-            entry = encoded_columns.get(id(cells))
-            if entry is None or entry[0] is not cells:
-                text = _json_list(["null" if c is None else encode_set(c) for c in cells])
-                entry = encoded_columns[id(cells)] = (cells, text)
-            return entry[1]
+            return _json_list(["null" if c is None else encode_set(c) for c in cells])
 
         lines = []
+        u_sets = demands = None
         for row in self.rows:
+            if row.u_sets is not u_sets:
+                u_sets, u_text = row.u_sets, encode_column(row.u_sets)
+            if row.demands is not demands:
+                demands, d_text = row.demands, encode_column(row.demands)
             lottery = "null"
             if row.lottery is not None:
                 lottery = (
@@ -407,9 +411,9 @@ class Trace:
                 )
             lines.append(
                 f'{{"t": {json.dumps(row.label)}, "prices": {_json_ints(row.prices)}, '
-                f'"x_min": {encode_set(row.x_min)}, "u_sets": {encode_column(row.u_sets)}, '
+                f'"x_min": {encode_set(row.x_min)}, "u_sets": {u_text}, '
                 f'"sold_buyers": {_json_ints(row.sold_buyers)}, '
-                f'"demands": {encode_column(row.demands)}, '
+                f'"demands": {d_text}, '
                 f'"sold_items": {encode_set(row.sold_items)}, "lottery": {lottery}}}'
             )
         lines.append(json.dumps({"final": self.final_dict()}))
@@ -454,13 +458,20 @@ class Trace:
 
 @dataclass(frozen=True)
 class MaprOutcome:
+    """The terminal tuple and the trace; round counts and winners are read from its rows."""
+
     prices: tuple[int, ...]
     rationing: RationingSystem
     allocation: Allocation
-    matching: Matching
     trace: Trace
-    price_rounds: int
-    lottery_rounds: int
+
+    @property
+    def price_rounds(self) -> int:
+        return sum(1 for row in self.trace.rows if row.x_min and row.lottery is None)
+
+    @property
+    def lottery_rounds(self) -> int:
+        return len(self.trace.events)
 
     @property
     def winners(self) -> tuple[int, ...]:
@@ -517,7 +528,6 @@ class _TraceRows:
     def row(self, state: MechanismState, label: str, x_min, lottery) -> TraceRow:
         return TraceRow(
             label=label,
-            t=state.t,
             prices=state.prices,
             x_min=tuple(sorted(x_min)) if x_min else (),
             u_sets=self._u_sets_of(state.rationing),
@@ -528,7 +538,7 @@ class _TraceRows:
         )
 
 
-def complete_run(economy: Economy, state: MechanismState) -> tuple[Matching, Allocation]:
+def complete_run(economy: Economy, state: MechanismState) -> Allocation:
     """Terminal step: run the completion matching and assemble the allocation.
 
     ``state`` must be settled, so ``state.demands`` are the unsold buyers.
@@ -538,7 +548,7 @@ def complete_run(economy: Economy, state: MechanismState) -> tuple[Matching, All
     for i, d in state.demands.items():
         if DUMMY not in d and not final.covers_buyer(i):
             raise RuntimeError(f"completion left demander {i} unserved")  # unreachable
-    return final, matching_to_allocation(final, economy.n_buyers)
+    return matching_to_allocation(final, economy.n_buyers)
 
 
 def run_mapr(economy: Economy, policy: Optional[LotteryPolicy] = None) -> MaprOutcome:
@@ -554,27 +564,22 @@ def run_mapr(economy: Economy, policy: Optional[LotteryPolicy] = None) -> MaprOu
     state = initial_state(economy)
     row = _TraceRows(economy).row
     rows: list[TraceRow] = []
-    events: list[LotteryEvent] = []
     branch: list[str] = []
-    price_rounds = 0
 
     max_rounds = economy.bound_spread() + economy.n_items + 1
     for _ in range(max_rounds):
         state = refresh_demands(economy, state)
-        x_min, xbar = gate(economy, state)
+        x_min, item, entrants = gate(economy, state)
         label = ".".join([str(state.t)] + branch)
         if x_min is None:
             rows.append(row(state, label, (), None))
             break
-        if not xbar:
+        if item is None:
             rows.append(row(state, label, x_min, None))
             state = price_increase_step(economy, state, x_min)
-            price_rounds += 1
             continue
-        item = xbar[0]
-        next_state, event = lottery_step(state, item, x_min, policy)
+        next_state, event = lottery_step(state, item, entrants, policy)
         rows.append(row(state, label, x_min, event))
-        events.append(event)
         branch.append(str(event.entrants.index(event.winner) + 1))
         state = next_state
     else:
@@ -584,12 +589,11 @@ def run_mapr(economy: Economy, policy: Optional[LotteryPolicy] = None) -> MaprOu
     if finish is not None:
         finish()
 
-    final_matching, allocation = complete_run(economy, state)
+    allocation = complete_run(economy, state)
     trace = Trace(
         item_names=economy.item_names,
         n_buyers=economy.n_buyers,
         rows=tuple(rows),
-        events=tuple(events),
         final_prices=state.prices,
         final_rationing_zeros=state.rationing.zeros(economy.n_items),
         final_allocation=allocation.assignment,
@@ -598,8 +602,5 @@ def run_mapr(economy: Economy, policy: Optional[LotteryPolicy] = None) -> MaprOu
         prices=state.prices,
         rationing=state.rationing,
         allocation=allocation,
-        matching=final_matching,
         trace=trace,
-        price_rounds=price_rounds,
-        lottery_rounds=len(events),
     )

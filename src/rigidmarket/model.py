@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import EconomyValidationError
 
@@ -329,13 +329,6 @@ def settled_demand(
     return allowed, frozenset(demand)
 
 
-def demand_situation(
-    economy,
-    prices,
-    rationing: RationingSystem,
-    buyers: Optional[Iterable[int]] = None,
-) -> dict[int, frozenset[int]]:
-    """Demand set of each given buyer (all buyers when unspecified), by buyer id."""
-    if buyers is None:
-        buyers = economy.buyers
-    return {i: demand_set(economy, prices, rationing, i) for i in buyers}
+def demand_situation(economy, prices, rationing: RationingSystem) -> dict[int, frozenset[int]]:
+    """Demand set of every buyer, by buyer id."""
+    return {i: demand_set(economy, prices, rationing, i) for i in economy.buyers}

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .errors import NotTwoBuyers, SizeGuard
 from .mechanism import rm
-from .model import DUMMY, Economy, RationingSystem, demand_set
+from .model import DUMMY, Economy, RationingSystem, _is_int, demand_set
 from .expectation import DEFAULT_NODE_LIMIT, _walk_lottery_tree, expected_values
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
@@ -39,6 +39,9 @@ class Strategy:
     reported_values: tuple[int, ...]
 
     def __post_init__(self):
+        for a, v in enumerate(self.reported_values):
+            if not _is_int(v):
+                raise ValueError(f"NonIntegerEntry: reported value for item {a} is {v!r}")
         if not self.reported_values or self.reported_values[DUMMY] != 0:
             raise ValueError("a strategy must value the dummy item at 0")
         if any(v < 0 for v in self.reported_values):
@@ -93,13 +96,13 @@ def _true_profit_of_run(
     def early(state):
         bought = state.sold.buyer_to_item.get(manipulator)
         if bought is not None:
-            return (Fraction(true_row[bought] - state.prices[bought]),)
+            return (true_row[bought] - state.prices[bought],)
         return None
 
     def payoff(state):
         completion = rm(state.demands, state.sold, state.prices, economy.lower_bounds)
         item = completion.buyer_to_item.get(manipulator, DUMMY)
-        return (Fraction(true_row[item] - state.prices[item]),)
+        return (true_row[item] - state.prices[item],)
 
     (profit,), _, _ = _walk_lottery_tree(economy, node_limit, payoff, early)
     return profit

@@ -24,7 +24,7 @@ from rigidmarket import (
     validate_economy,
 )
 from rigidmarket.cli import main
-from rigidmarket.mechanism import apply_sale, gate, lottery_entrants
+from rigidmarket.mechanism import apply_sale, gate
 
 from strategies import economies, make_economy
 
@@ -105,14 +105,14 @@ def live_round_count(economy):
     while pending:
         state = refresh_demands(economy, pending.pop())
         rounds += 1
-        x_min, xbar = gate(economy, state)
+        x_min, item, entrants = gate(economy, state)
         if x_min is None:
             continue
-        if not xbar:
+        if item is None:
             pending.append(price_increase_step(economy, state, x_min))
             continue
-        for winner in lottery_entrants(state, xbar[0], x_min):
-            pending.append(apply_sale(state, xbar[0], winner))
+        for winner in entrants:
+            pending.append(apply_sale(state, item, winner))
     return rounds
 
 

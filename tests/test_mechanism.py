@@ -18,6 +18,7 @@ from rigidmarket import (
     UpperBoundViolation,
     check_cwe,
     demand_set,
+    expected_values,
     initial_state,
     lottery_step,
     price_increase_step,
@@ -32,7 +33,6 @@ from rigidmarket.mechanism import (
     apply_sale,
     complete_run,
     gate,
-    lottery_entrants,
     stable_price_step,
 )
 
@@ -80,9 +80,9 @@ def test_initial_round_demands(market):
         4: frozenset({1}),
         5: frozenset({4}),
     }
-    x_min, xbar = gate(market, state)
+    x_min, item, entrants = gate(market, state)
     assert x_min == frozenset({3})
-    assert xbar == ()
+    assert item is None and entrants == ()
 
 
 def test_price_increase_step(market):
@@ -123,15 +123,15 @@ def raise_rounds(economy):
     pending = [initial_state(economy)]
     while pending:
         state = refresh_demands(economy, pending.pop())
-        x_min, xbar = gate(economy, state)
+        x_min, item, entrants = gate(economy, state)
         if x_min is None:
             continue
-        if not xbar:
+        if item is None:
             yield state, x_min
             pending.append(price_increase_step(economy, state, x_min))
             continue
-        for winner in lottery_entrants(state, xbar[0], x_min):
-            pending.append(apply_sale(state, xbar[0], winner))
+        for winner in entrants:
+            pending.append(apply_sale(state, item, winner))
 
 
 @settings(max_examples=80)
@@ -142,7 +142,7 @@ def test_stable_jump_lands_where_single_raises_land(economy):
         single = state
         for _ in range(k):
             single = refresh_demands(economy, single)
-            assert gate(economy, single) == (x_min, ())
+            assert gate(economy, single) == (x_min, None, ())
             assert single.demands == state.demands
             single = price_increase_step(economy, single, x_min)
         single = refresh_demands(economy, single)
@@ -154,18 +154,18 @@ def test_stable_jump_lands_where_single_raises_land(economy):
         assert jumped.sold == single.sold
 
 
-def test_lottery_step_entrants_and_determinism(market):
+def test_lottery_step_entrants_and_determinism(market, monkeypatch):
     state = initial_state(market)
     for _ in range(3):
         state = settled(market, state)
-        x_min, _ = gate(market, state)
+        x_min, _, _ = gate(market, state)
         state = price_increase_step(market, state, x_min)
     state = settled(market, state)
-    x_min, xbar = gate(market, state)
-    assert x_min == frozenset({3}) and xbar == (3,)
-    assert lottery_entrants(state, 3, x_min) == (2, 3)
+    x_min, item, entrants = gate(market, state)
+    assert x_min == frozenset({3})
+    assert item == 3 and entrants == (2, 3)
 
-    next_state, event = lottery_step(state, 3, x_min, ScriptedLottery([2]))
+    next_state, event = lottery_step(state, 3, entrants, ScriptedLottery([2]))
     assert event.entrants == (2, 3) and event.winner == 2 and event.round == 3
     assert next_state.sold.pairs() == ((2, 3),)
     assert next_state.prices == state.prices
@@ -175,7 +175,7 @@ def test_lottery_step_entrants_and_determinism(market):
     assert 2 not in next_state.demands
 
     # the same seed always picks the same winner
-    picks = {lottery_step(state, 3, x_min, SeededLottery(9))[1].winner for _ in range(5)}
+    picks = {lottery_step(state, 3, entrants, SeededLottery(9))[1].winner for _ in range(5)}
     assert len(picks) == 1
 
     lone = MechanismState(
@@ -186,19 +186,37 @@ def test_lottery_step_entrants_and_determinism(market):
         active=state.active,
         demands={2: frozenset({3})},
     )
-    _, event = lottery_step(lone, 3, frozenset({3}), SeededLottery(1))
+    _, event = lottery_step(lone, 3, (2,), SeededLottery(1))
     assert event.winner == 2  # single entrant wins with certainty
 
+    # c is capped; if the over-demanded set were {c}, nobody would draw
     empty = MechanismState(
         t=0,
         prices=state.prices,
         sold=state.sold,
         rationing=state.rationing,
         active=state.active,
-        demands={4: frozenset({1})},
+        demands={4: frozenset({1}), 5: frozenset({1})},
     )
+    monkeypatch.setattr("rigidmarket.mechanism.mods", lambda demands, matched: frozenset({3}))
     with pytest.raises(NoEntrants):
-        lottery_step(empty, 3, frozenset({3}), SeededLottery(1))
+        gate(market, empty)
+    # the tree walk reaches the same round once c is sold and every gate
+    # still names {c}; it gets the guard from gate too
+    with pytest.raises(NoEntrants):
+        expected_values(market)
+
+
+def test_gate_draws_the_lowest_capped_member_among_confined_buyers():
+    # three buyers on a and b, both capped: the draw is on a
+    tied = make_economy([[9, 9], [9, 9], [9, 9]], [5, 5], [5, 5])
+    state = settled(tied, initial_state(tied))
+    assert gate(tied, state) == (frozenset({1, 2}), 1, (1, 2, 3))
+    # buyer 3 also demands b, outside x_min = {a}, so it does not draw
+    straddled = make_economy([[9, 0], [9, 0], [9, 9]], [5, 5], [5, 5])
+    state = settled(straddled, initial_state(straddled))
+    assert state.demands[3] == frozenset({1, 2})
+    assert gate(straddled, state) == (frozenset({1}), 1, (1, 2))
 
 
 def test_refresh_strikes_sold_items(market):
@@ -281,11 +299,11 @@ def test_post_sale_report_is_a_fresh_report(market):
     state = initial_state(market)
     for _ in range(4):
         state = settled(market, state)
-        x_min, xbar = gate(market, state)
-        if xbar:
+        x_min, item, entrants = gate(market, state)
+        if item is not None:
             break
         state = price_increase_step(market, state, x_min)
-    state, _ = lottery_step(state, 3, x_min, ScriptedLottery([2]))
+    state, _ = lottery_step(state, 3, entrants, ScriptedLottery([2]))
     # buyer 3 lost c: apply_sale makes it the only active buyer and keeps
     # its pre-sale report, which meets the sold item and still equals a
     # fresh report; the refresh settles it past c to d
@@ -374,13 +392,13 @@ def test_refresh_builds_one_rationing_and_no_forbid_many(monkeypatch):
             built.clear()
             state = refresh_demands(economy, state)
             assert len(built) <= 1
-        x_min, xbar = gate(economy, state)
+        x_min, item, entrants = gate(economy, state)
         if x_min is None:
             break
-        if not xbar:
+        if item is None:
             state = price_increase_step(economy, state, x_min)
         else:
-            state, _ = lottery_step(state, xbar[0], x_min, policy)
+            state, _ = lottery_step(state, item, entrants, policy)
             sales += 1
     assert sales > 0 and state.rationing.zeros(economy.n_items)
 
@@ -479,13 +497,13 @@ def test_completion_contracts_on_random_terminals(economy):
     policy = SeededLottery(11)
     for _ in range(economy.bound_spread() + economy.n_items + 1):
         state = refresh_demands(economy, state)
-        x_min, xbar = gate(economy, state)
+        x_min, item, entrants = gate(economy, state)
         if x_min is None:
             break
-        if not xbar:
+        if item is None:
             state = price_increase_step(economy, state, x_min)
         else:
-            state, _ = lottery_step(state, xbar[0], x_min, policy)
+            state, _ = lottery_step(state, item, entrants, policy)
     demands = {i: state.demands[i] for i in unsold_buyers(economy, state)}
     completion = rm(demands, state.sold, state.prices, economy.lower_bounds)
     # disjointness from the sold matching
@@ -512,13 +530,13 @@ def test_settled_demands_are_the_unsold_buyers(economy, seed):
     for _ in range(economy.bound_spread() + economy.n_items + 1):
         state = refresh_demands(economy, state)
         assert set(state.demands) == set(unsold_buyers(economy, state))
-        x_min, xbar = gate(economy, state)
+        x_min, item, entrants = gate(economy, state)
         if x_min is None:
             break
-        if not xbar:
+        if item is None:
             state = price_increase_step(economy, state, x_min)
             continue
-        state, _ = lottery_step(state, xbar[0], x_min, policy)
+        state, _ = lottery_step(state, item, entrants, policy)
         # the losers' reports, reused by the next refresh, are fresh reports
         for i in state.active:
             assert state.demands[i] == demand_set(economy, state.prices, state.rationing, i)
@@ -554,7 +572,6 @@ def reference_row(economy, state, label, x_min, lottery):
     """A trace row rebuilt from scratch, every cell sorted anew."""
     return TraceRow(
         label=label,
-        t=state.t,
         prices=state.prices,
         x_min=tuple(sorted(x_min)) if x_min else (),
         u_sets=tuple(
@@ -582,12 +599,12 @@ def assert_matches_full_refresh(economy, seed):
     """
     ref_policy, inc_policy = SeededLottery(seed), SeededLottery(seed)
     ref = inc = initial_state(economy)
-    rows, events, branch = [], [], []
+    rows, branch = [], []
     for _ in range(economy.bound_spread() + economy.n_items + 1):
         ref = full_refresh(economy, ref)
         inc = refresh_demands(economy, inc)
-        x_min, xbar = gate(economy, ref)
-        assert gate(economy, inc) == (x_min, xbar)
+        x_min, item, entrants = gate(economy, ref)
+        assert gate(economy, inc) == (x_min, item, entrants)
         assert inc.demands == ref.demands
         assert inc.rationing == ref.rationing
         assert inc.prices == ref.prices
@@ -596,27 +613,25 @@ def assert_matches_full_refresh(economy, seed):
         if x_min is None:
             rows.append(reference_row(economy, ref, label, (), None))
             break
-        if not xbar:
+        if item is None:
             rows.append(reference_row(economy, ref, label, x_min, None))
             ref = price_increase_step(economy, ref, x_min)
             inc = price_increase_step(economy, inc, x_min)
             continue
-        next_ref, event = lottery_step(ref, xbar[0], x_min, ref_policy)
-        inc, inc_event = lottery_step(inc, xbar[0], x_min, inc_policy)
+        next_ref, event = lottery_step(ref, item, entrants, ref_policy)
+        inc, inc_event = lottery_step(inc, item, entrants, inc_policy)
         assert inc_event == event
         rows.append(reference_row(economy, ref, label, x_min, event))
-        events.append(event)
         branch.append(str(event.entrants.index(event.winner) + 1))
         ref = next_ref
     else:
         raise AssertionError("reference loop exceeded the round bound")
 
-    _, allocation = complete_run(economy, ref)
+    allocation = complete_run(economy, ref)
     reference = Trace(
         item_names=economy.item_names,
         n_buyers=economy.n_buyers,
         rows=tuple(rows),
-        events=tuple(events),
         final_prices=ref.prices,
         final_rationing_zeros=ref.rationing.zeros(economy.n_items),
         final_allocation=allocation.assignment,

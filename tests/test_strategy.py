@@ -39,6 +39,11 @@ def test_strategy_validation():
         Strategy((1, 2))
     with pytest.raises(ValueError):
         Strategy((0, -1))
+    # reports are integers, as economy values are: no float, no bool
+    with pytest.raises(ValueError, match="^NonIntegerEntry"):
+        Strategy((0, 4, 3, 5.5, 7))
+    with pytest.raises(ValueError, match="^NonIntegerEntry"):
+        Strategy((0, True, 3, 9, 7))
     assert Strategy.from_real_values([2, 0]).reported_values == (0, 2, 0)
 
 
