@@ -24,14 +24,21 @@ their agreement, which the tests check in aggregate and leaf count,
 checks both.  The incremental demand refresh they share is checked by
 the full-refresh oracle ``assert_matches_full_refresh`` in
 ``tests/test_mechanism.py``, where every unsold buyer reports every
-round.  All arithmetic uses :class:`fractions.Fraction`.
+round.
+
+All arithmetic is exact.  A leaf's probability is ``1/d``, where ``d``
+is the product of the entrant counts of the lotteries on its path, so
+:func:`expected_values` sums the integer payoffs of the leaves that
+share a ``d`` and builds one :class:`fractions.Fraction` per column and
+distinct ``d`` at the end; :func:`enumerate_histories` carries each
+history's probability as a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import TreeSizeExceeded
 from .matching import Matching
@@ -102,24 +109,28 @@ def _walk_lottery_tree(
     """Expected ``payoff`` over the mechanism's lottery tree: (value, nodes, leaves).
 
     A node is one round: a :class:`MechanismState` popped from a stack
-    with its probability.  ``early(state)``, when given, may fix a node's
-    value before its round is played.  Otherwise :func:`refresh_demands`
-    settles the reports, :func:`gate` decides the round, and a settled
-    node is worth ``payoff`` of its state.  A raise jumps the
-    :func:`stable_price_step` rounds that repeat this one, and the
-    skipped rounds still count as nodes against ``node_limit``.  A
-    lottery node pushes one :func:`apply_sale` child per entrant, each
-    with an equal share of its probability.  The value is the
-    probability-weighted sum of the leaves; payoffs are integers and
-    probabilities are Fractions, so it is exact.  :func:`enumerate_histories`
-    shares the refresh, so the full-refresh oracle of
-    ``tests/test_mechanism.py`` is what checks it.
+    with its path denominator, the product of the entrant counts of the
+    lotteries above it, so the node's probability is one over it.
+    ``early(state)``, when given, may fix a node's value before its round
+    is played.  Otherwise :func:`refresh_demands` settles the reports,
+    :func:`gate` decides the round, and a settled node is worth
+    ``payoff`` of its state.  A raise jumps the :func:`stable_price_step`
+    rounds that repeat this one, keeps the denominator, and the skipped
+    rounds still count as nodes against ``node_limit``.  A lottery node
+    pushes one :func:`apply_sale` child per entrant, each with the
+    denominator times the entrant count.  The value is the
+    probability-weighted sum of the leaves.  Payoffs are integers, so a
+    leaf's payoff is added, as integers, to the sums kept for its
+    denominator, and one :class:`Fraction` ``sum / denominator`` per
+    column and distinct denominator is built at the end: the value is
+    exact.  :func:`enumerate_histories` shares the refresh, so the
+    full-refresh oracle of ``tests/test_mechanism.py`` is what checks it.
     """
     nodes = leaves = 0
-    total = None
-    stack = [(initial_state(economy), Fraction(1))]
+    sums: dict[int, Sequence[int]] = {}
+    stack = [(initial_state(economy), 1)]
     while stack:
-        state, probability = stack.pop()
+        state, denominator = stack.pop()
         nodes += 1
         if nodes > node_limit:
             raise TreeSizeExceeded(f"lottery tree exceeded {node_limit} nodes", nodes=nodes)
@@ -132,16 +143,20 @@ def _walk_lottery_tree(
             elif item is None:
                 step = stable_price_step(economy, state, x_min)
                 nodes += step - 1
-                stack.append((price_increase_step(economy, state, x_min, step), probability))
+                stack.append((price_increase_step(economy, state, x_min, step), denominator))
                 continue
             else:
-                share = probability / len(entrants)
+                child_denominator = denominator * len(entrants)
                 for winner in reversed(entrants):
-                    stack.append((apply_sale(state, item, winner), share))
+                    stack.append((apply_sale(state, item, winner), child_denominator))
                 continue
         leaves += 1
-        weighted = [probability * v for v in value]
-        total = weighted if total is None else [t + w for t, w in zip(total, weighted)]
+        previous = sums.get(denominator)
+        sums[denominator] = value if previous is None else [p + v for p, v in zip(previous, value)]
+    total = None
+    for denominator, column_sums in sums.items():
+        part = [Fraction(s, denominator) for s in column_sums]
+        total = part if total is None else [t + p for t, p in zip(total, part)]
     return tuple(total), nodes, leaves
 
 

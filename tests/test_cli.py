@@ -385,22 +385,34 @@ def test_scripts_run_from_another_directory(tmp_path, script):
     assert done.returncode == 0, done.stderr
 
 
+def run_module(cwd, module, *argv):
+    """``python -m module *argv`` in a subprocess, with ``src`` on the path; output as bytes."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        timeout=300,
+    )
+
+
 @pytest.mark.parametrize(
     "flags, code", [((), 0), (("--node-limit", "0"), 1), (("--node-limit", "3"), 2)]
 )
 def test_module_entry_exits_with_main_code(tmp_path, data_dir, flags, code):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     economy = str(data_dir / "example_market.json")
-    done = subprocess.run(
-        [sys.executable, "-m", "rigidmarket.cli", "expect", economy, *flags],
-        cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    done = run_module(tmp_path, "rigidmarket.cli", "expect", economy, *flags)
     assert done.returncode == code, done.stderr
-    assert "Traceback" not in done.stderr
+    assert b"Traceback" not in done.stderr
+
+
+def test_package_runs_as_a_module(tmp_path, capsys, data_dir):
+    economy = str(data_dir / "example_market.json")
+    done = run_module(tmp_path, "rigidmarket", "expect", economy)
+    code, out, _ = run_cli(capsys, "expect", economy)
+    assert done.returncode == code == 0, done.stderr
+    assert done.stdout == out.encode()
 
 
 SMALL_INTS = st.integers(-3, 20)

@@ -11,6 +11,7 @@ from rigidmarket import (
     RationingSystem,
     TreeSizeExceeded,
     aggregate_histories,
+    economy_from_dict,
     enumerate_histories,
     expected_values,
     indirect_utility,
@@ -150,6 +151,40 @@ def test_recursion_agrees_with_history_aggregation(economy):
     assert report.tree_stats.leaves == len(leaves)
 
 
+@pytest.mark.parametrize(
+    "valuations, profits, denominators",
+    [
+        # buyer 1 winning the three-way draw for a ends at denominator 3;
+        # a win by buyer 2 or 3 leads to a two-way draw for b
+        (
+            [[10, 9], [10, 0], [10, 0], [0, 10]],
+            [3, Fraction(5, 3), Fraction(5, 3), Fraction(10, 3)],
+            [3, 6, 6, 6, 6],
+        ),
+        # a win by buyer 1 or 2 leaves two buyers for b, a win by buyer 3
+        # three: leaves two draws deep sit at denominators 6 and 9
+        (
+            [[10, 9], [10, 9], [10, 0], [0, 10]],
+            [Fraction(25, 9), Fraction(25, 9), Fraction(5, 3), Fraction(20, 9)],
+            [6, 6, 6, 6, 9, 9, 9],
+        ),
+    ],
+)
+def test_leaves_at_mixed_denominators(valuations, profits, denominators):
+    economy = make_economy(valuations, [5, 5], [5, 5])
+    leaves = enumerate_histories(economy)
+    assert sorted(leaf.probability.denominator for leaf in leaves) == denominators
+    report = expected_values(economy)
+    assert report.expected_profit == dict(zip(economy.buyers, profits))
+    assert report.expected_price == {0: 0, 1: Fraction(5), 2: Fraction(5)}
+    assert report.tree_stats.probability_mass == 1
+    assert report.tree_stats.leaves == len(leaves)
+    assert aggregate_histories(economy, leaves) == (
+        report.expected_profit,
+        report.expected_price,
+    )
+
+
 @settings(max_examples=60)
 @given(economies())
 def test_bounds_and_leaf_identities(economy):
@@ -178,13 +213,12 @@ def test_leaves_replay_through_the_mechanism(economy):
 DEEP_ITEMS = 50
 
 
-def deep_market_document():
-    """For each item, two buyers value only it, at 10; floor = cap = 5 everywhere.
+def deep_market_document(m=DEEP_ITEMS):
+    """For each of ``m`` items, two buyers value only it, at 10; floor = cap = 5.
 
     Every item goes by a two-way lottery, one after another, so each
-    history is DEEP_ITEMS lotteries deep.
+    history is ``m`` lotteries deep.
     """
-    m = DEEP_ITEMS
     return {
         "items": [f"i{k}" for k in range(1, m + 1)],
         "buyers": 2 * m,
@@ -228,3 +262,14 @@ def test_deep_market_hits_size_guards_not_recursion_limit(tmp_path, capsys):
     assert code == 2
     assert "exceeded 200 nodes" in err
     assert "Traceback" not in err
+
+
+def test_deep_market_expected_values_are_exact():
+    # ten two-way draws in a row: 1,024 leaves, each at denominator 2**10
+    economy = economy_from_dict(deep_market_document(10))
+    report = expected_values(economy)
+    assert report.expected_profit == {i: Fraction(5, 2) for i in economy.buyers}
+    assert report.expected_price == {0: 0, **{a: Fraction(5) for a in range(1, 11)}}
+    assert report.tree_stats.probability_mass == 1
+    assert report.tree_stats.leaves == 1024
+    assert report.tree_stats.nodes == live_round_count(economy)
