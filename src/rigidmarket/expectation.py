@@ -105,6 +105,7 @@ def _walk_lottery_tree(
     node_limit: int,
     payoff: Callable[[MechanismState], tuple[int, ...]],
     early: Optional[Callable[[MechanismState], Optional[tuple[int, ...]]]] = None,
+    _rounds: Optional[list] = None,
 ) -> tuple[tuple[Fraction, ...], int, int]:
     """Expected ``payoff`` over the mechanism's lottery tree: (value, nodes, leaves).
 
@@ -125,6 +126,12 @@ def _walk_lottery_tree(
     column and distinct denominator is built at the end: the value is
     exact.  :func:`enumerate_histories` shares the refresh, so the
     full-refresh oracle of ``tests/test_mechanism.py`` is what checks it.
+
+    ``_rounds``, when given, is a list to which each round played is
+    appended, in walk order, as ``(opened, settled, x_min, item)``: the
+    state popped, the state :func:`refresh_demands` settled and the
+    :func:`gate` decision.  The strategy search reads the manipulator's
+    queries from it.
     """
     nodes = leaves = 0
     sums: dict[int, Sequence[int]] = {}
@@ -136,19 +143,21 @@ def _walk_lottery_tree(
             raise TreeSizeExceeded(f"lottery tree exceeded {node_limit} nodes", nodes=nodes)
         value = None if early is None else early(state)
         if value is None:
-            state = refresh_demands(economy, state)
-            x_min, item, entrants = gate(economy, state)
+            settled = refresh_demands(economy, state)
+            x_min, item, entrants = gate(economy, settled)
+            if _rounds is not None:
+                _rounds.append((state, settled, x_min, item))
             if x_min is None:
-                value = payoff(state)
+                value = payoff(settled)
             elif item is None:
-                step = stable_price_step(economy, state, x_min)
+                step = stable_price_step(economy, settled, x_min)
                 nodes += step - 1
-                stack.append((price_increase_step(economy, state, x_min, step), denominator))
+                stack.append((price_increase_step(economy, settled, x_min, step), denominator))
                 continue
             else:
                 child_denominator = denominator * len(entrants)
                 for winner in reversed(entrants):
-                    stack.append((apply_sale(state, item, winner), child_denominator))
+                    stack.append((apply_sale(settled, item, winner), child_denominator))
                 continue
         leaves += 1
         previous = sums.get(denominator)

@@ -15,6 +15,20 @@ analysis in :func:`two_buyer_case_analysis` says exactly what the
 truthful expected profit is.  With three or more buyers profitable
 misreports exist; :func:`optimal_strategy_search` finds the best
 strategy inside a value box by exhaustive enumeration.
+
+The search walks far fewer trees than it scores rows.  The walk of a
+reported economy reads the manipulator's reported row in two places
+only: her :func:`~rigidmarket.model.settled_demand` (permission row and
+demand) at each refresh where she reports, and her term of
+:func:`~rigidmarket.mechanism.stable_price_step` at each raise whose
+raised set holds her whole demand.  Everything else the walk does reads
+the other buyers' rows, the price bounds and the state, and the profit
+is scored with her true row.  So the walk is a function of her answers:
+two rows that give the same answers, query by query, play the same
+rounds and score the same profit.  One search keeps a trie of the
+answer transcripts it has met (:class:`_AnswerTrie`); a new row replays
+the trie by answering its stored queries, and a tree is walked only
+when an answer is new.
 """
 
 from __future__ import annotations
@@ -25,8 +39,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotTwoBuyers, SizeGuard
-from .mechanism import rm
-from .model import DUMMY, Economy, RationingSystem, _is_int, demand_set
+from .mechanism import MechanismState, rm, stable_price_step
+from .model import DUMMY, Economy, RationingSystem, _is_int, demand_set, settled_demand
 from .expectation import DEFAULT_NODE_LIMIT, _walk_lottery_tree, expected_values
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
@@ -83,14 +97,15 @@ def default_value_cap(problem: ManipulationProblem) -> int:
 
 
 def _true_profit_of_run(
-    economy: Economy, true_row, manipulator: int, node_limit: int
+    economy: Economy, true_row, manipulator: int, node_limit: int, rounds=None
 ) -> Fraction:
     """Expected true-value profit of the manipulator in the reported economy.
 
     Walks the reported economy's lottery tree.  Once the manipulator
     holds an item her payoff is settled (sold prices never move), so
     those branches stop early; at settled leaves where she holds nothing
-    the completion matching decides what she receives.
+    the completion matching decides what she receives.  ``rounds``, when
+    a list, receives the rounds of the walk (see ``_walk_lottery_tree``).
     """
 
     def early(state):
@@ -104,7 +119,7 @@ def _true_profit_of_run(
         item = completion.buyer_to_item.get(manipulator, DUMMY)
         return (true_row[item] - state.prices[item],)
 
-    (profit,), _, _ = _walk_lottery_tree(economy, node_limit, payoff, early)
+    (profit,), _, _ = _walk_lottery_tree(economy, node_limit, payoff, early, rounds)
     return profit
 
 
@@ -121,6 +136,13 @@ def expected_profit_under_strategy(
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The best strategy in the box and what finding it took.
+
+    ``distinct_evaluations`` counts the demand signatures of the box;
+    ``full_walks`` counts the lottery trees walked, one per new answer
+    transcript (plus, at most, one for a truthful row outside the box).
+    """
+
     best_strategy: Strategy
     best_profit: Fraction
     truthful_profit: Fraction
@@ -128,25 +150,133 @@ class SearchResult:
     cap: int
     strategies_evaluated: int
     distinct_evaluations: int
+    full_walks: int
 
 
-def _demand_signature(values, lower, upper):
+def _clamp_windows(lower, upper):
+    """The windows :func:`_demand_signature` clamps to, for these price bounds.
+
+    One ``(low, high)`` per real item, and one ``(a, b, low, high)`` per
+    pair of real items ``a < b`` (``a`` and ``b`` index the row without
+    its dummy entry).
+    """
+    m1 = len(lower)
+    singles = tuple((lower[a] - 1, upper[a] + 1) for a in range(1, m1))
+    pairs = tuple(
+        (a - 1, b - 1, lower[a] - upper[b] - 1, upper[a] - lower[b] + 1)
+        for a in range(1, m1)
+        for b in range(a + 1, m1)
+    )
+    return singles, pairs
+
+
+def _demand_signature(values, windows):
     """Key under which two reported rows behave identically.
 
     Demand sets compare net benefits, so only value differences against
     attainable price differences matter; clamping to just past each
-    attainable window collapses equivalent rows.
+    attainable window (:func:`_clamp_windows`) collapses equivalent rows.
     """
-    m1 = len(lower)
-    singles = tuple(
-        min(max(values[a - 1], lower[a] - 1), upper[a] + 1) for a in range(1, m1)
-    )
+    singles, pairs = windows
+    clamped = []
+    for v, (low, high) in zip(values, singles):
+        clamped.append(low if v < low else high if v > high else v)
     diffs = []
-    for a in range(1, m1):
-        for b in range(a + 1, m1):
-            d = values[a - 1] - values[b - 1]
-            diffs.append(min(max(d, lower[a] - upper[b] - 1), upper[a] - lower[b] + 1))
-    return singles, tuple(diffs)
+    for a, b, low, high in pairs:
+        d = values[a] - values[b]
+        diffs.append(low if d < low else high if d > high else d)
+    return tuple(clamped), tuple(diffs)
+
+
+def _answer(reported: Economy, manipulator: int, state: MechanismState, x_min):
+    """The manipulator's answer, in ``reported``, to the query at ``state``.
+
+    With ``x_min`` None the query is her report at the refresh of
+    ``state``: her ``(permission row, demand)`` from
+    :func:`settled_demand`.  Otherwise it is the stable step of raising
+    ``x_min`` at the settled ``state``.
+    """
+    if x_min is None:
+        allowed = state.rationing.allowed[manipulator - 1]
+        sold = state.sold.item_to_buyer
+        return settled_demand(reported, state.prices, allowed, manipulator, sold)
+    return stable_price_step(reported, state, x_min)
+
+
+def _queries(rounds, manipulator: int):
+    """The rounds' queries that read the manipulator's row, in walk order.
+
+    She reports at a refresh where she is active.  At a raise her row
+    enters the stable step only when her demand lies inside x_min: a
+    demand that straddles x_min makes the step one, and a disjoint one
+    is skipped.  A walk stops once she has bought, so she is unsold and
+    has a settled demand in every round played.
+    """
+    for opened, settled, x_min, item in rounds:
+        if manipulator in opened.active:
+            yield opened, None
+        if x_min is not None and item is None and settled.demands[manipulator] <= x_min:
+            yield settled, x_min
+
+
+class _Query:
+    """A trie node: one query, with a child per answer met so far.
+
+    A child is the next query of the walks that gave that answer, or,
+    when the walk ends there, its exact profit.
+    """
+
+    __slots__ = ("state", "x_min", "children")
+
+    def __init__(self, state: MechanismState, x_min):
+        self.state = state
+        self.x_min = x_min
+        self.children: dict = {}
+
+
+class _AnswerTrie:
+    """Profits of one manipulator's walks, keyed by her answer transcripts.
+
+    :meth:`profit` replays the stored queries with a reported economy and
+    returns the profit at the end of its transcript; only when an answer
+    has no child does it walk the tree, and that walk's transcript goes
+    into the trie.  ``full_walks`` counts those walks.
+    """
+
+    def __init__(self, true_row, manipulator: int, node_limit: int):
+        self.true_row = true_row
+        self.manipulator = manipulator
+        self.node_limit = node_limit
+        self.root: dict = {}  # the first query, under the key None
+        self.full_walks = 0
+
+    def profit(self, reported: Economy) -> Fraction:
+        manipulator = self.manipulator
+        node = self.root.get(None)
+        while type(node) is _Query:
+            node = node.children.get(_answer(reported, manipulator, node.state, node.x_min))
+        if node is None:
+            return self._walk(reported)
+        return node
+
+    def _walk(self, reported: Economy) -> Fraction:
+        rounds: list = []
+        profit = _true_profit_of_run(
+            reported, self.true_row, self.manipulator, self.node_limit, rounds
+        )
+        self.full_walks += 1
+        children, key = self.root, None
+        for state, x_min in _queries(rounds, self.manipulator):
+            node = children.get(key)
+            if node is None:
+                node = children[key] = _Query(state, x_min)
+            elif type(node) is not _Query:
+                raise RuntimeError("a walk's transcript runs past a recorded one")  # unreachable
+            children, key = node.children, _answer(reported, self.manipulator, state, x_min)
+        if key in children:
+            raise RuntimeError("a walk's transcript is already in the trie")  # unreachable
+        children[key] = profit
+        return profit
 
 
 def optimal_strategy_search(
@@ -157,15 +287,21 @@ def optimal_strategy_search(
 ) -> SearchResult:
     """Best strategy over all integer value vectors in ``[0, cap]`` per item.
 
-    Every vector in the box is evaluated (rows with provably identical
-    demand behaviour share one tree evaluation).  Ties break toward the
-    truthful strategy when it attains the maximum, otherwise toward the
-    lexicographically smallest vector.  A negative ``cap`` is a
-    ``ValueError``.
+    Every vector in the box is scored.  Rows with provably identical
+    demand behaviour share one demand signature and one evaluation; an
+    evaluation replays the search's trie of answer transcripts (see the
+    module docstring) and walks the lottery tree only for a transcript
+    the trie has not met, since rows with one transcript play one walk
+    and score one profit.  Ties break toward the truthful strategy when
+    it attains the maximum, otherwise toward the lexicographically
+    smallest vector.  A ``cap`` that is not an integer (a ``bool``
+    included) or is negative is a ``ValueError``.
     """
     economy = problem.economy
     if cap is None:
         cap = default_value_cap(problem)
+    if not _is_int(cap):
+        raise ValueError(f"NonIntegerEntry: the value cap must be an integer, got {cap!r}")
     if cap < 0:
         raise ValueError(f"the value cap must be non-negative, got {cap}")
     m = economy.n_items - 1
@@ -175,29 +311,27 @@ def optimal_strategy_search(
             f"{total} strategies exceed the enumeration limit {enumeration_limit}"
         )
 
-    true_row = economy.valuations[problem.manipulator - 1]
+    manipulator = problem.manipulator
+    true_row = economy.valuations[manipulator - 1]
+    windows = _clamp_windows(economy.lower_bounds, economy.upper_bounds)
+    trie = _AnswerTrie(true_row, manipulator, node_limit)
     cache: dict = {}
-
-    def profit_of(real_values) -> Fraction:
-        sig = _demand_signature(real_values, economy.lower_bounds, economy.upper_bounds)
-        hit = cache.get(sig)
-        if hit is None:
-            reported = economy.with_valuation_row(problem.manipulator, (0, *real_values))
-            hit = _true_profit_of_run(reported, true_row, problem.manipulator, node_limit)
-            cache[sig] = hit
-        return hit
-
     best_profit = None
     best_values = None
     for combo in itertools.product(range(cap + 1), repeat=m):
-        p = profit_of(combo)
+        sig = _demand_signature(combo, windows)
+        if sig in cache:
+            continue  # an earlier vector with this signature scored the same profit
+        reported = economy.with_valuation_row(manipulator, (0, *combo))
+        p = cache[sig] = trie.profit(reported)
         if best_profit is None or p > best_profit:
             best_profit, best_values = p, combo
 
-    truthful = Strategy.truthful(economy, problem.manipulator)
-    truthful_profit = profit_of(true_row[1:]) if max(true_row) <= cap else (
-        _true_profit_of_run(economy, true_row, problem.manipulator, node_limit)
-    )
+    truthful = Strategy.truthful(economy, manipulator)
+    if max(true_row) <= cap:
+        truthful_profit = cache[_demand_signature(true_row[1:], windows)]
+    else:
+        truthful_profit = trie.profit(economy)
     if truthful_profit >= best_profit:
         best_profit = truthful_profit
         chosen = truthful
@@ -211,6 +345,7 @@ def optimal_strategy_search(
         cap=cap,
         strategies_evaluated=total,
         distinct_evaluations=len(cache),
+        full_walks=trie.full_walks,
     )
 
 

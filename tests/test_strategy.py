@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidmarket import (
     ManipulationProblem,
@@ -10,6 +12,7 @@ from rigidmarket import (
     ScriptedLottery,
     SizeGuard,
     Strategy,
+    TreeSizeExceeded,
     default_value_cap,
     enumerate_histories,
     expected_profit_under_strategy,
@@ -18,7 +21,7 @@ from rigidmarket import (
     run_mapr,
     two_buyer_case_analysis,
 )
-from rigidmarket.strategy import _true_profit_of_run
+from rigidmarket.strategy import _AnswerTrie, _true_profit_of_run
 
 from strategies import economies, make_economy, random_economy
 
@@ -110,6 +113,106 @@ def test_search_on_running_example_finds_the_gain(market):
     assert result.best_profit == Fraction(1, 3)  # search says 1/3 is the optimum
     assert not result.truthful_is_optimal
     assert result.strategies_evaluated == 11**4
+    # 5,551 demand signatures, but only 1,098 distinct answer transcripts
+    assert result.distinct_evaluations == 5551
+    assert result.full_walks == 1098
+
+
+def box_signature(economy, values):
+    """Each value and pairwise difference clamped to just past its price window."""
+    lower, upper = economy.lower_bounds, economy.upper_bounds
+    items = economy.real_items
+    singles = tuple(min(max(values[a - 1], lower[a] - 1), upper[a] + 1) for a in items)
+    diffs = tuple(
+        min(max(values[a - 1] - values[b - 1], lower[a] - upper[b] - 1), upper[a] - lower[b] + 1)
+        for a in items
+        for b in items
+        if a < b
+    )
+    return singles, diffs
+
+
+def brute_force_search(problem, cap):
+    """Every vector of the box scored by the plain walk, with the documented tie rule.
+
+    Returns (best strategy, best profit, truthful profit, distinct signatures).
+    """
+    economy = problem.economy
+    best_profit = best_values = None
+    signatures = set()
+    for values in itertools.product(range(cap + 1), repeat=economy.n_items - 1):
+        signatures.add(box_signature(economy, values))
+        profit = expected_profit_under_strategy(problem, Strategy.from_real_values(values))
+        if best_profit is None or profit > best_profit:
+            best_profit, best_values = profit, values
+    truthful = Strategy.truthful(economy, problem.manipulator)
+    truthful_profit = expected_profit_under_strategy(problem, truthful)
+    if truthful_profit >= best_profit:
+        return truthful, truthful_profit, truthful_profit, len(signatures)
+    best = Strategy.from_real_values(best_values)
+    return best, best_profit, truthful_profit, len(signatures)
+
+
+def test_search_matches_the_plain_walk_over_the_box():
+    rng = random.Random(8)
+    misreports = 0
+    for _ in range(30):
+        economy = random_economy(rng, max_buyers=3, max_real_items=2, max_value=6)
+        for buyer in economy.buyers:
+            problem = ManipulationProblem(economy, buyer)
+            result = optimal_strategy_search(problem)
+            best, best_profit, truthful_profit, signatures = brute_force_search(
+                problem, result.cap
+            )
+            assert result.best_strategy == best, economy
+            assert result.best_profit == best_profit
+            assert result.truthful_profit == truthful_profit
+            assert result.distinct_evaluations == signatures
+            assert result.full_walks <= result.distinct_evaluations
+            misreports += not result.truthful_is_optimal
+    assert misreports == 2  # the sample holds profitable misreports too
+
+
+@settings(max_examples=30)
+@given(economies(max_buyers=3, max_real_items=2, max_value=6), st.data())
+def test_answer_trie_replays_the_plain_walk(economy, data):
+    m = economy.n_items - 1
+    rows = data.draw(
+        st.lists(st.tuples(*[st.integers(0, 9)] * m), min_size=1, max_size=12)
+    )
+    truth = economy.valuations[0]
+    trie = _AnswerTrie(truth, 1, 10**6)
+    for row in rows:
+        reported = economy.with_valuation_row(1, (0, *row))
+        assert trie.profit(reported) == _true_profit_of_run(reported, truth, 1, 10**6)
+    walks = trie.full_walks
+    assert walks <= len(set(rows))
+    # every transcript is recorded now: a second pass only replays
+    for row in rows:
+        reported = economy.with_valuation_row(1, (0, *row))
+        assert trie.profit(reported) == _true_profit_of_run(reported, truth, 1, 10**6)
+    assert trie.full_walks == walks
+
+
+def test_search_size_guard_counts_like_the_plain_walk():
+    # node counts over the default box run from 2 to 12; the first walk
+    # past 11 nodes comes after many that the trie has recorded
+    economy = make_economy([[2, 4], [4, 6], [6, 5]], [2, 0], [5, 1])
+    problem = ManipulationProblem(economy, 1)
+    limit = 11
+    cap = default_value_cap(problem)
+    for k, values in enumerate(itertools.product(range(cap + 1), repeat=2)):
+        try:
+            expected_profit_under_strategy(
+                problem, Strategy.from_real_values(values), node_limit=limit
+            )
+        except TreeSizeExceeded as exc:
+            plain = exc
+            break
+    assert k > 0 and plain.nodes > limit
+    with pytest.raises(TreeSizeExceeded) as searched:
+        optimal_strategy_search(problem, node_limit=limit)
+    assert searched.value.nodes == plain.nodes
 
 
 def test_search_single_buyer_trivially_truthful():
@@ -127,9 +230,14 @@ def test_search_size_guard(market):
         )
 
 
-def test_search_rejects_a_negative_cap(market):
-    with pytest.raises(ValueError, match="non-negative"):
-        optimal_strategy_search(ManipulationProblem(market, 1), cap=-1)
+@pytest.mark.parametrize(
+    "cap, message",
+    [(-1, "non-negative"), (2.0, "^NonIntegerEntry"), (True, "^NonIntegerEntry")],
+    ids=["negative", "float", "bool"],
+)
+def test_search_rejects_a_negative_cap(market, cap, message):
+    with pytest.raises(ValueError, match=message):
+        optimal_strategy_search(ManipulationProblem(market, 1), cap=cap)
 
 
 def test_default_cap(market):
