@@ -16,14 +16,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rigidmarket import TreeSizeExceeded, check_cwe, enumerate_histories  # noqa: E402
-from random_market import random_economy  # noqa: E402
+from random_market import int_at_least, random_economy  # noqa: E402
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--count", type=int, default=500)
+    parser.add_argument("--count", type=int_at_least(1), default=500)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-leaves", type=int, default=500)
+    parser.add_argument("--max-leaves", type=int_at_least(1), default=500)
     args = parser.parse_args()
 
     rng = random.Random(args.seed)

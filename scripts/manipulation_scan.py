@@ -23,16 +23,16 @@ from rigidmarket import (  # noqa: E402
     TreeSizeExceeded,
     optimal_strategy_search,
 )
-from random_market import random_economy  # noqa: E402
+from random_market import int_at_least, random_economy  # noqa: E402
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--count", type=int, default=100)
-    parser.add_argument("--buyers", type=int, default=3)
-    parser.add_argument("--items", type=int, default=3)
+    parser.add_argument("--count", type=int_at_least(1), default=100)
+    parser.add_argument("--buyers", type=int_at_least(1), default=3)
+    parser.add_argument("--items", type=int_at_least(1), default=3)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--cap", type=int, default=None)
+    parser.add_argument("--cap", type=int_at_least(0), default=None)
     args = parser.parse_args()
 
     rng = random.Random(args.seed)

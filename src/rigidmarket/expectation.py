@@ -7,21 +7,21 @@ are therefore exact rationals; this module computes them two ways:
 * :func:`expected_values` walks the lottery tree on the mechanism's own
   states and steps: :func:`~rigidmarket.mechanism.refresh_demands`
   settles each node and :func:`~rigidmarket.mechanism.gate` decides it.
-  Raises that provably replay one round are taken in one
-  :func:`~rigidmarket.mechanism.stable_price_step` jump.  The value is
-  the sum of each leaf's payoff times its probability; the strategy
-  module's profit evaluation is the same walk with another payoff.
+  The value is the sum of each leaf's payoff times its probability; the
+  strategy module's profit evaluation is the same walk with another
+  payoff.
 * :func:`enumerate_histories` forks the live mechanism state at every
-  lottery, raising prices one round at a time, and collects one terminal
-  tuple per complete history, with its probability.
+  lottery and collects one terminal tuple per complete history, with its
+  probability.
 
-Both walks keep their open nodes on an explicit stack, depth first with
-the entrants in ascending order, so a tree of any depth stays within
-Python's recursion limit and only the node and leaf limits bound it.
+Both walks raise prices one round at a time and keep their open nodes on
+an explicit stack, depth first with the entrants in ascending order, so
+a tree of any depth stays within Python's recursion limit and only the
+node and leaf limits bound it.
 
-The routes differ in the price jump and in how leaves are scored, so
-their agreement, which the tests check in aggregate and leaf count,
-checks both.  The incremental demand refresh they share is checked by
+The routes differ only in how leaves are scored, so their agreement,
+which the tests check in aggregate and leaf count, checks the scoring.
+The incremental demand refresh they share is checked by
 the full-refresh oracle ``assert_matches_full_refresh`` in
 ``tests/test_mechanism.py``, where every unsold buyer reports every
 round.
@@ -50,11 +50,16 @@ from .mechanism import (
     initial_state,
     price_increase_step,
     refresh_demands,
-    stable_price_step,
 )
-from .model import Allocation, Economy, RationingSystem, indirect_utility
+from .model import Allocation, Economy, RationingSystem, _is_int, indirect_utility
 
 DEFAULT_NODE_LIMIT = 1_000_000
+
+
+def _check_limit(name: str, limit) -> None:
+    """A size limit is an integer; a ``bool`` or ``float`` is a ``ValueError``."""
+    if not _is_int(limit):
+        raise ValueError(f"NonIntegerEntry: {name} must be an integer, got {limit!r}")
 
 
 def sold_matching_from_rationing(rationing: RationingSystem, n_items: int) -> Matching:
@@ -105,7 +110,6 @@ def _walk_lottery_tree(
     node_limit: int,
     payoff: Callable[[MechanismState], tuple[int, ...]],
     early: Optional[Callable[[MechanismState], Optional[tuple[int, ...]]]] = None,
-    _rounds: Optional[list] = None,
 ) -> tuple[tuple[Fraction, ...], int, int]:
     """Expected ``payoff`` over the mechanism's lottery tree: (value, nodes, leaves).
 
@@ -115,23 +119,17 @@ def _walk_lottery_tree(
     ``early(state)``, when given, may fix a node's value before its round
     is played.  Otherwise :func:`refresh_demands` settles the reports,
     :func:`gate` decides the round, and a settled node is worth
-    ``payoff`` of its state.  A raise jumps the :func:`stable_price_step`
-    rounds that repeat this one, keeps the denominator, and the skipped
-    rounds still count as nodes against ``node_limit``.  A lottery node
-    pushes one :func:`apply_sale` child per entrant, each with the
-    denominator times the entrant count.  The value is the
-    probability-weighted sum of the leaves.  Payoffs are integers, so a
-    leaf's payoff is added, as integers, to the sums kept for its
-    denominator, and one :class:`Fraction` ``sum / denominator`` per
-    column and distinct denominator is built at the end: the value is
+    ``payoff`` of its state.  A raise pushes one
+    :func:`price_increase_step` child with the same denominator, so every
+    round is a node, and the walk stops at the first node past
+    ``node_limit``.  A lottery node pushes one :func:`apply_sale` child
+    per entrant, each with the denominator times the entrant count.  The
+    value is the probability-weighted sum of the leaves.  Payoffs are
+    integers, so a leaf's payoff is added, as integers, to the sums kept
+    for its denominator, and one :class:`Fraction` ``sum / denominator``
+    per column and distinct denominator is built at the end: the value is
     exact.  :func:`enumerate_histories` shares the refresh, so the
     full-refresh oracle of ``tests/test_mechanism.py`` is what checks it.
-
-    ``_rounds``, when given, is a list to which each round played is
-    appended, in walk order, as ``(opened, settled, x_min, item)``: the
-    state popped, the state :func:`refresh_demands` settled and the
-    :func:`gate` decision.  The strategy search reads the manipulator's
-    queries from it.
     """
     nodes = leaves = 0
     sums: dict[int, Sequence[int]] = {}
@@ -145,14 +143,10 @@ def _walk_lottery_tree(
         if value is None:
             settled = refresh_demands(economy, state)
             x_min, item, entrants = gate(economy, settled)
-            if _rounds is not None:
-                _rounds.append((state, settled, x_min, item))
             if x_min is None:
                 value = payoff(settled)
             elif item is None:
-                step = stable_price_step(economy, settled, x_min)
-                nodes += step - 1
-                stack.append((price_increase_step(economy, settled, x_min, step), denominator))
+                stack.append((price_increase_step(economy, settled, x_min), denominator))
                 continue
             else:
                 child_denominator = denominator * len(entrants)
@@ -175,8 +169,11 @@ def expected_values(
     """Expected profit per buyer and expected price per item, exactly.
 
     The lottery tree is capped at ``node_limit`` nodes, one per round of
-    some history; :class:`TreeSizeExceeded` carries the count reached.
+    some history; :class:`TreeSizeExceeded` carries the count reached,
+    ``node_limit + 1`` for a positive limit.  A ``node_limit`` that is not
+    an integer is a ``ValueError``.
     """
+    _check_limit("node_limit", node_limit)
 
     def payoff(state: MechanismState) -> tuple[int, ...]:
         profits = tuple(
@@ -219,8 +216,11 @@ def enumerate_histories(
     Drives the actual mechanism engine, forking the state at each
     lottery; probabilities multiply ``1/k`` along the way and sum to one.
     Leaves come in depth-first order, the entrants of each lottery in
-    ascending order.
+    ascending order.  A ``max_leaves`` that is neither None nor an integer
+    is a ``ValueError``.
     """
+    if max_leaves is not None:
+        _check_limit("max_leaves", max_leaves)
     leaves: list[HistoryLeaf] = []
     stack = [(initial_state(economy), Fraction(1), ())]
     while stack:

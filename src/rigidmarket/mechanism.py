@@ -182,12 +182,11 @@ def gate(economy: Economy, state: MechanismState):
 
 
 def price_increase_step(
-    economy: Economy, state: MechanismState, x_min: frozenset[int], step: int = 1
+    economy: Economy, state: MechanismState, x_min: frozenset[int]
 ) -> MechanismState:
-    """Raise every price in x_min by ``step`` units and open round ``t + step``.
+    """Raise every price in x_min by one unit and open the next round.
 
-    ``step`` is one, or a count of rounds from :func:`stable_price_step`;
-    a member pushed past its cap is an :class:`UpperBoundViolation`.
+    A member already at its cap is an :class:`UpperBoundViolation`.
     Only buyers whose recorded demand meets x_min report again.  That is
     exact: an item outside x_min keeps its price, and items in x_min only
     lose net benefit, so a demand set disjoint from x_min keeps the same
@@ -198,43 +197,11 @@ def price_increase_step(
     if not x_min:
         raise ValueError("price increase needs a nonempty item set")
     for a in x_min:
-        if state.prices[a] + step > economy.upper_bounds[a]:
-            raise UpperBoundViolation(f"raising item {a} by {step} passes its upper bound")
-    prices = tuple(p + step if a in x_min else p for a, p in enumerate(state.prices))
+        if state.prices[a] >= economy.upper_bounds[a]:
+            raise UpperBoundViolation(f"item {a} is already at its upper bound")
+    prices = tuple(p + 1 if a in x_min else p for a, p in enumerate(state.prices))
     active = frozenset(i for i, d in state.demands.items() if not x_min.isdisjoint(d))
-    return MechanismState(
-        state.t + step, prices, state.sold, state.rationing, active, state.demands
-    )
-
-
-def stable_price_step(economy: Economy, state: MechanismState, x_min: frozenset[int]) -> int:
-    """The number ``k`` of single raises of x_min in a row that replay this round.
-
-    ``state`` is settled and its gate flagged x_min with no member capped.
-    A demand inside x_min holds until its net benefit falls to the best
-    unsold allowed item outside x_min (a settled demand is the best over
-    unsold items, whether or not the sold ones are struck yet); one
-    straddling x_min changes at once, one disjoint from it never.  While
-    demands hold the gate flags x_min again, so
-    ``price_increase_step(economy, state, x_min, k)`` lands where ``k``
-    single raises land.  ``tests/test_mechanism.py`` checks the landing
-    against single raises, and the refresh after it against a full
-    refresh (``assert_matches_full_refresh``).
-    """
-    prices = state.prices
-    sold = state.sold.item_to_buyer
-    step = min(economy.upper_bounds[a] - prices[a] for a in x_min)
-    for i, d in state.demands.items():
-        if d.isdisjoint(x_min):
-            continue
-        if not d <= x_min:
-            return 1
-        row = economy.valuations[i - 1]
-        inside = max(row[a] - prices[a] for a in d)
-        rest = state.rationing.allowed[i - 1].difference(x_min, sold)
-        outside = max(row[a] - prices[a] for a in rest)
-        step = min(step, inside - outside)
-    return step
+    return MechanismState(state.t + 1, prices, state.sold, state.rationing, active, state.demands)
 
 
 def apply_sale(state: MechanismState, item: int, winner: int) -> MechanismState:

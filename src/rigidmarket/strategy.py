@@ -17,18 +17,16 @@ misreports exist; :func:`optimal_strategy_search` finds the best
 strategy inside a value box by exhaustive enumeration.
 
 The search walks far fewer trees than it scores rows.  The walk of a
-reported economy reads the manipulator's reported row in two places
+reported economy reads the manipulator's reported row in one place
 only: her :func:`~rigidmarket.model.settled_demand` (permission row and
-demand) at each refresh where she reports, and her term of
-:func:`~rigidmarket.mechanism.stable_price_step` at each raise whose
-raised set holds her whole demand.  Everything else the walk does reads
-the other buyers' rows, the price bounds and the state, and the profit
-is scored with her true row.  So the walk is a function of her answers:
-two rows that give the same answers, query by query, play the same
-rounds and score the same profit.  One search keeps a trie of the
-answer transcripts it has met (:class:`_AnswerTrie`); a new row replays
-the trie by answering its stored queries, and a tree is walked only
-when an answer is new.
+demand) at each refresh where she reports.  Everything else the walk
+does reads the other buyers' rows, the price bounds and the state, and
+the profit is scored with her true row.  So the walk is a function of
+her answers: two rows that give the same answers, query by query, play
+the same rounds and score the same profit.  One search keeps a trie of
+the answer transcripts it has met (:class:`_AnswerTrie`); a new row
+replays the trie by answering its stored queries, and a tree is walked
+only when an answer is new.
 """
 
 from __future__ import annotations
@@ -39,9 +37,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotTwoBuyers, SizeGuard
-from .mechanism import MechanismState, rm, stable_price_step
+from .mechanism import MechanismState, rm
 from .model import DUMMY, Economy, RationingSystem, _is_int, demand_set, settled_demand
-from .expectation import DEFAULT_NODE_LIMIT, _walk_lottery_tree, expected_values
+from .expectation import DEFAULT_NODE_LIMIT, _check_limit, _walk_lottery_tree, expected_values
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
 
@@ -97,21 +95,24 @@ def default_value_cap(problem: ManipulationProblem) -> int:
 
 
 def _true_profit_of_run(
-    economy: Economy, true_row, manipulator: int, node_limit: int, rounds=None
+    economy: Economy, true_row, manipulator: int, node_limit: int, queries=None
 ) -> Fraction:
     """Expected true-value profit of the manipulator in the reported economy.
 
     Walks the reported economy's lottery tree.  Once the manipulator
     holds an item her payoff is settled (sold prices never move), so
     those branches stop early; at settled leaves where she holds nothing
-    the completion matching decides what she receives.  ``rounds``, when
-    a list, receives the rounds of the walk (see ``_walk_lottery_tree``).
+    the completion matching decides what she receives.  ``queries``, when
+    a list, receives in walk order each state at which she reports: she
+    is unsold and active there.
     """
 
     def early(state):
         bought = state.sold.buyer_to_item.get(manipulator)
         if bought is not None:
             return (true_row[bought] - state.prices[bought],)
+        if queries is not None and manipulator in state.active:
+            queries.append(state)
         return None
 
     def payoff(state):
@@ -119,7 +120,7 @@ def _true_profit_of_run(
         item = completion.buyer_to_item.get(manipulator, DUMMY)
         return (true_row[item] - state.prices[item],)
 
-    (profit,), _, _ = _walk_lottery_tree(economy, node_limit, payoff, early, rounds)
+    (profit,), _, _ = _walk_lottery_tree(economy, node_limit, payoff, early)
     return profit
 
 
@@ -129,6 +130,7 @@ def expected_profit_under_strategy(
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> Fraction:
     """Expected true profit when the manipulator commits to ``strategy``."""
+    _check_limit("node_limit", node_limit)
     reported = problem.reported_economy(strategy)
     true_row = problem.economy.valuations[problem.manipulator - 1]
     return _true_profit_of_run(reported, true_row, problem.manipulator, node_limit)
@@ -188,49 +190,27 @@ def _demand_signature(values, windows):
     return tuple(clamped), tuple(diffs)
 
 
-def _answer(reported: Economy, manipulator: int, state: MechanismState, x_min):
-    """The manipulator's answer, in ``reported``, to the query at ``state``.
+def _answer(reported: Economy, manipulator: int, state: MechanismState):
+    """The manipulator's report, in ``reported``, at the refresh of ``state``.
 
-    With ``x_min`` None the query is her report at the refresh of
-    ``state``: her ``(permission row, demand)`` from
-    :func:`settled_demand`.  Otherwise it is the stable step of raising
-    ``x_min`` at the settled ``state``.
+    It is her ``(permission row, demand)`` from :func:`settled_demand`.
     """
-    if x_min is None:
-        allowed = state.rationing.allowed[manipulator - 1]
-        sold = state.sold.item_to_buyer
-        return settled_demand(reported, state.prices, allowed, manipulator, sold)
-    return stable_price_step(reported, state, x_min)
-
-
-def _queries(rounds, manipulator: int):
-    """The rounds' queries that read the manipulator's row, in walk order.
-
-    She reports at a refresh where she is active.  At a raise her row
-    enters the stable step only when her demand lies inside x_min: a
-    demand that straddles x_min makes the step one, and a disjoint one
-    is skipped.  A walk stops once she has bought, so she is unsold and
-    has a settled demand in every round played.
-    """
-    for opened, settled, x_min, item in rounds:
-        if manipulator in opened.active:
-            yield opened, None
-        if x_min is not None and item is None and settled.demands[manipulator] <= x_min:
-            yield settled, x_min
+    allowed = state.rationing.allowed[manipulator - 1]
+    sold = state.sold.item_to_buyer
+    return settled_demand(reported, state.prices, allowed, manipulator, sold)
 
 
 class _Query:
-    """A trie node: one query, with a child per answer met so far.
+    """A trie node: one query state, with a child per answer met so far.
 
     A child is the next query of the walks that gave that answer, or,
     when the walk ends there, its exact profit.
     """
 
-    __slots__ = ("state", "x_min", "children")
+    __slots__ = ("state", "children")
 
-    def __init__(self, state: MechanismState, x_min):
+    def __init__(self, state: MechanismState):
         self.state = state
-        self.x_min = x_min
         self.children: dict = {}
 
 
@@ -254,25 +234,25 @@ class _AnswerTrie:
         manipulator = self.manipulator
         node = self.root.get(None)
         while type(node) is _Query:
-            node = node.children.get(_answer(reported, manipulator, node.state, node.x_min))
+            node = node.children.get(_answer(reported, manipulator, node.state))
         if node is None:
             return self._walk(reported)
         return node
 
     def _walk(self, reported: Economy) -> Fraction:
-        rounds: list = []
+        queries: list = []
         profit = _true_profit_of_run(
-            reported, self.true_row, self.manipulator, self.node_limit, rounds
+            reported, self.true_row, self.manipulator, self.node_limit, queries
         )
         self.full_walks += 1
         children, key = self.root, None
-        for state, x_min in _queries(rounds, self.manipulator):
+        for state in queries:
             node = children.get(key)
             if node is None:
-                node = children[key] = _Query(state, x_min)
+                node = children[key] = _Query(state)
             elif type(node) is not _Query:
                 raise RuntimeError("a walk's transcript runs past a recorded one")  # unreachable
-            children, key = node.children, _answer(reported, self.manipulator, state, x_min)
+            children, key = node.children, _answer(reported, self.manipulator, state)
         if key in children:
             raise RuntimeError("a walk's transcript is already in the trie")  # unreachable
         children[key] = profit
@@ -295,9 +275,12 @@ def optimal_strategy_search(
     and score one profit.  Ties break toward the truthful strategy when
     it attains the maximum, otherwise toward the lexicographically
     smallest vector.  A ``cap`` that is not an integer (a ``bool``
-    included) or is negative is a ``ValueError``.
+    included) or is negative is a ``ValueError``, and so is a
+    ``node_limit`` or ``enumeration_limit`` that is not an integer.
     """
     economy = problem.economy
+    _check_limit("node_limit", node_limit)
+    _check_limit("enumeration_limit", enumeration_limit)
     if cap is None:
         cap = default_value_cap(problem)
     if not _is_int(cap):

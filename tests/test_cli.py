@@ -385,6 +385,23 @@ def test_scripts_run_from_another_directory(tmp_path, script):
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize(
+    "script, flag",
+    [("equilibrium_fuzz.py", "--max-leaves"), ("manipulation_scan.py", "--cap")],
+)
+def test_scripts_reject_a_negative_flag_as_usage(tmp_path, script, flag):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--count", "3", flag, "-1"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 2
+    assert f"argument {flag}: -1 is below" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def run_module(cwd, module, *argv):
     """``python -m module *argv`` in a subprocess, with ``src`` on the path; output as bytes."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

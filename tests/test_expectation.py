@@ -93,7 +93,7 @@ def test_three_way_lottery():
 def test_tree_size_guard(market):
     with pytest.raises(TreeSizeExceeded) as exc:
         expected_values(market, node_limit=3)
-    assert exc.value.nodes is not None and exc.value.nodes > 3
+    assert exc.value.nodes == 4
     with pytest.raises(TreeSizeExceeded) as exc:
         enumerate_histories(market, max_leaves=1)
     assert exc.value.leaves == 2
@@ -121,8 +121,10 @@ def assert_node_count_is_the_round_count(economy):
     nodes = expected_values(economy).tree_stats.nodes
     assert nodes == live_round_count(economy)
     assert expected_values(economy, node_limit=nodes).tree_stats.nodes == nodes
-    with pytest.raises(TreeSizeExceeded):
+    # the walk stops at the first node past the limit and reports that count
+    with pytest.raises(TreeSizeExceeded) as exc:
         expected_values(economy, node_limit=nodes - 1)
+    assert exc.value.nodes == nodes
 
 
 @settings(max_examples=60)
@@ -131,12 +133,21 @@ def test_node_count_matches_live_rounds(economy):
     assert_node_count_is_the_round_count(economy)
 
 
-def test_node_count_includes_skipped_raises():
-    # both buyers keep demanding a through all ten raises of its cap room;
-    # the walker jumps them in one step but still counts every round
-    economy = make_economy([[50], [50]], [0], [10])
+@pytest.mark.parametrize("room", [10, 200])
+def test_node_count_covers_a_long_stable_stretch(room):
+    # both buyers keep demanding a through every raise of its cap room,
+    # then draw lots for it at the cap: room + 1 rounds and two leaves
+    economy = make_economy([[1000], [1000]], [0], [room])
     assert_node_count_is_the_round_count(economy)
-    assert expected_values(economy).tree_stats.nodes == 11 + 2
+    report = expected_values(economy)
+    assert report.tree_stats.nodes == room + 1 + 2
+    assert aggregate_histories(economy, enumerate_histories(economy)) == (
+        report.expected_profit,
+        report.expected_price,
+    )
+    with pytest.raises(TreeSizeExceeded) as exc:
+        expected_values(economy, node_limit=1)
+    assert exc.value.nodes == 2
 
 
 @settings(max_examples=60)

@@ -33,7 +33,6 @@ from rigidmarket.mechanism import (
     apply_sale,
     complete_run,
     gate,
-    stable_price_step,
 )
 
 from strategies import economies, make_economy
@@ -104,54 +103,6 @@ def test_price_increase_step(market):
     )
     with pytest.raises(UpperBoundViolation):
         price_increase_step(market, capped, frozenset({3}))
-
-
-def test_price_increase_step_jumps_up_to_the_cap(market):
-    state = settled(market, initial_state(market))
-    # buyer 1 nets 4 on c against 2 on d, so two raises of c replay round 0
-    assert stable_price_step(market, state, frozenset({3})) == 2
-    jumped = price_increase_step(market, state, frozenset({3}), 3)
-    assert jumped.prices == (0, 5, 4, 4, 5) and jumped.t == 3
-    assert jumped.active == frozenset({1, 2, 3})
-    # c's cap is 4, one past it is refused
-    with pytest.raises(UpperBoundViolation):
-        price_increase_step(market, state, frozenset({3}), 4)
-
-
-def raise_rounds(economy):
-    """Each settled raise round of every history, forking at lotteries."""
-    pending = [initial_state(economy)]
-    while pending:
-        state = refresh_demands(economy, pending.pop())
-        x_min, item, entrants = gate(economy, state)
-        if x_min is None:
-            continue
-        if item is None:
-            yield state, x_min
-            pending.append(price_increase_step(economy, state, x_min))
-            continue
-        for winner in entrants:
-            pending.append(apply_sale(state, item, winner))
-
-
-@settings(max_examples=80)
-@given(economies(max_buyers=5, max_real_items=4))
-def test_stable_jump_lands_where_single_raises_land(economy):
-    for state, x_min in raise_rounds(economy):
-        k = stable_price_step(economy, state, x_min)
-        single = state
-        for _ in range(k):
-            single = refresh_demands(economy, single)
-            assert gate(economy, single) == (x_min, None, ())
-            assert single.demands == state.demands
-            single = price_increase_step(economy, single, x_min)
-        single = refresh_demands(economy, single)
-        jumped = refresh_demands(economy, price_increase_step(economy, state, x_min, k))
-        assert jumped.prices == single.prices
-        assert jumped.t == single.t
-        assert jumped.demands == single.demands
-        assert jumped.rationing == single.rationing
-        assert jumped.sold == single.sold
 
 
 def test_lottery_step_entrants_and_determinism(market, monkeypatch):

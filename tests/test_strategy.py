@@ -17,10 +17,14 @@ from rigidmarket import (
     enumerate_histories,
     expected_profit_under_strategy,
     expected_values,
+    initial_state,
     optimal_strategy_search,
+    price_increase_step,
+    refresh_demands,
     run_mapr,
     two_buyer_case_analysis,
 )
+from rigidmarket.mechanism import apply_sale, gate
 from rigidmarket.strategy import _AnswerTrie, _true_profit_of_run
 
 from strategies import economies, make_economy, random_economy
@@ -87,16 +91,16 @@ def test_profit_matches_history_oracle(economy):
 @settings(max_examples=40)
 @given(economies(max_buyers=3, max_real_items=2, max_value=6))
 def test_long_step_evaluator_is_exact(economy):
-    # the walker jumps whole stable price stretches; the oracle plays
-    # every round of the live mechanism
+    # the walker sums integer payoffs per path denominator; the oracle
+    # scores each history of the live mechanism with its Fraction chance
     problem = ManipulationProblem(economy, 1)
     truth = economy.valuations[0]
     rng = random.Random(economy.bound_spread() + economy.n_buyers)
     for _ in range(3):
         row = (0, *[rng.randint(0, 7) for _ in economy.real_items])
         reported = economy.with_valuation_row(1, row)
-        jumped = _true_profit_of_run(reported, truth, 1, 10**6)
-        assert jumped == history_oracle(problem, Strategy(row))
+        walked = _true_profit_of_run(reported, truth, 1, 10**6)
+        assert walked == history_oracle(problem, Strategy(row))
 
 
 @settings(max_examples=25)
@@ -194,25 +198,63 @@ def test_answer_trie_replays_the_plain_walk(economy, data):
     assert trie.full_walks == walks
 
 
+def reporting_states(economy, manipulator):
+    """The live mechanism's opened states where she reports, depth first, until she buys."""
+    states = []
+    pending = [initial_state(economy)]
+    while pending:
+        state = pending.pop()
+        if manipulator in state.sold.buyer_to_item:
+            continue
+        if manipulator in state.active:
+            states.append(state)
+        state = refresh_demands(economy, state)
+        x_min, item, entrants = gate(economy, state)
+        if x_min is None:
+            continue
+        if item is None:
+            pending.append(price_increase_step(economy, state, x_min))
+            continue
+        for winner in reversed(entrants):
+            pending.append(apply_sale(state, item, winner))
+    return states
+
+
+@settings(max_examples=40)
+@given(economies(max_buyers=3, max_real_items=2, max_value=6), st.data())
+def test_walk_queries_exactly_the_states_where_she_reports(economy, data):
+    # the trie's transcript: one query per refresh where she is unsold and
+    # active, in walk order, and no other state
+    row = data.draw(st.tuples(*[st.integers(0, 9)] * (economy.n_items - 1)))
+    reported = economy.with_valuation_row(1, (0, *row))
+    queries = []
+    _true_profit_of_run(reported, economy.valuations[0], 1, 10**6, queries)
+    assert queries == reporting_states(reported, 1)
+
+
 def test_search_size_guard_counts_like_the_plain_walk():
-    # node counts over the default box run from 2 to 12; the first walk
-    # past 11 nodes comes after many that the trie has recorded
-    economy = make_economy([[2, 4], [4, 6], [6, 5]], [2, 0], [5, 1])
-    problem = ManipulationProblem(economy, 1)
-    limit = 11
-    cap = default_value_cap(problem)
-    for k, values in enumerate(itertools.product(range(cap + 1), repeat=2)):
-        try:
-            expected_profit_under_strategy(
-                problem, Strategy.from_real_values(values), node_limit=limit
-            )
-        except TreeSizeExceeded as exc:
-            plain = exc
-            break
-    assert k > 0 and plain.nodes > limit
-    with pytest.raises(TreeSizeExceeded) as searched:
-        optimal_strategy_search(problem, node_limit=limit)
-    assert searched.value.nodes == plain.nodes
+    cases = [
+        # node counts over the default box run from 2 to 12; the first walk
+        # past 11 nodes comes after many that the trie has recorded
+        (make_economy([[2, 4], [4, 6], [6, 5]], [2, 0], [5, 1]), 11),
+        # the first walk past 7 nodes meets a stretch of stable raises
+        (make_economy([[9, 11], [15, 17], [18, 14]], [1, 4], [3, 8]), 7),
+    ]
+    for economy, limit in cases:
+        problem = ManipulationProblem(economy, 1)
+        cap = default_value_cap(problem)
+        for k, values in enumerate(itertools.product(range(cap + 1), repeat=2)):
+            try:
+                expected_profit_under_strategy(
+                    problem, Strategy.from_real_values(values), node_limit=limit
+                )
+            except TreeSizeExceeded as exc:
+                plain = exc
+                break
+        assert k > 0 and plain.nodes == limit + 1
+        with pytest.raises(TreeSizeExceeded) as searched:
+            optimal_strategy_search(problem, node_limit=limit)
+        assert searched.value.nodes == limit + 1
 
 
 def test_search_single_buyer_trivially_truthful():
@@ -238,6 +280,23 @@ def test_search_size_guard(market):
 def test_search_rejects_a_negative_cap(market, cap, message):
     with pytest.raises(ValueError, match=message):
         optimal_strategy_search(ManipulationProblem(market, 1), cap=cap)
+
+
+@pytest.mark.parametrize("limit", [True, 1.5], ids=["bool", "float"])
+def test_size_limits_must_be_integers(market, limit):
+    problem = ManipulationProblem(market, 1)
+    truthful = Strategy.truthful(market, 1)
+    calls = [
+        lambda: expected_values(market, node_limit=limit),
+        lambda: expected_profit_under_strategy(problem, truthful, node_limit=limit),
+        lambda: optimal_strategy_search(problem, cap=1, node_limit=limit),
+        lambda: optimal_strategy_search(problem, cap=1, enumeration_limit=limit),
+        lambda: enumerate_histories(market, max_leaves=limit),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^NonIntegerEntry"):
+            call()
+    assert len(enumerate_histories(market, max_leaves=None)) == 2
 
 
 def test_default_cap(market):
