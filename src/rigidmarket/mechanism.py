@@ -34,7 +34,7 @@ from typing import Mapping, Optional, Protocol, Sequence
 
 from .errors import NoEntrants, ScriptError, UpperBoundViolation
 from .matching import Matching, matching_to_allocation, max_matching, maximum_matching, build_graph
-from .model import DUMMY, Allocation, Economy, RationingSystem, settled_demand
+from .model import DUMMY, Allocation, Economy, RationingSystem, _is_int, settled_demand
 from .overdemand import mods
 
 
@@ -65,10 +65,17 @@ class SeededLottery:
 
 
 class ScriptedLottery:
-    """Plays back a fixed winner list; errors name items by ``item_names`` if given."""
+    """Plays back a fixed winner list; errors name items by ``item_names`` if given.
+
+    A winner that is not an integer (a ``bool`` included) is a
+    ``ValueError`` at once, before it can reach a trace.
+    """
 
     def __init__(self, winners: Sequence[int], item_names: Optional[Sequence[str]] = None):
         self._winners = list(winners)
+        for winner in self._winners:
+            if not _is_int(winner):
+                raise ValueError(f"NonIntegerEntry: scripted winner {winner!r} is not an integer")
         self._next = 0
         self._item_names = item_names
 
@@ -127,9 +134,10 @@ def refresh_demands(economy: Economy, state: MechanismState) -> MechanismState:
 
     Active buyers report at current prices; any of them demanding a sold
     item strikes it and reports again until its demand holds no sold
-    item.  Buyers never read each other's permission rows, so each one
-    settles on its own, in one :func:`~rigidmarket.model.settled_demand`
-    call that gives the end of that loop directly.
+    item.  Buyers never read each other's rows, so each one settles on
+    its own, in one :func:`~rigidmarket.model.settled_demand` call on its
+    value row and permission row that gives the end of that loop
+    directly.
 
     Every other unsold buyer keeps its report in ``state.demands``;
     :func:`price_increase_step` and :func:`apply_sale` only leave a buyer
@@ -142,10 +150,11 @@ def refresh_demands(economy: Economy, state: MechanismState) -> MechanismState:
     prices = state.prices
     rationing = state.rationing
     sold = state.sold.item_to_buyer
+    valuations = economy.valuations
     rows = None
     for i in sorted(state.active):
         allowed = rationing.allowed[i - 1]
-        row, demands[i] = settled_demand(economy, prices, allowed, i, sold)
+        row, demands[i] = settled_demand(valuations[i - 1], prices, allowed, sold)
         if row is not allowed:
             if rows is None:
                 rows = list(rationing.allowed)

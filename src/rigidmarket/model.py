@@ -301,11 +301,12 @@ def demand_set(economy, prices, rationing: RationingSystem, buyer: int) -> froze
 
 
 def settled_demand(
-    economy, prices, allowed: frozenset[int], buyer: int, sold: Container[int]
+    values, prices, allowed: frozenset[int], sold: Container[int]
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """The buyer's permission row and demand once its demand holds no sold item.
+    """A buyer's permission row and demand once its demand holds no sold item.
 
-    ``allowed`` is the buyer's permission row.  Reporting with
+    ``values`` is the buyer's value row and ``allowed`` its permission
+    row; nothing else of the economy is read.  Reporting with
     :func:`demand_set` and striking the sold items of each report until a
     report holds none ends at the best net benefit over the unsold
     allowed items (the dummy is always allowed and never sold, so there
@@ -313,12 +314,11 @@ def settled_demand(
     items are the sold allowed items at least as good.  When nothing is
     struck, ``allowed`` itself is returned.
     """
-    row = economy.valuations[buyer - 1]
-    best = max(row[a] - prices[a] for a in allowed if a not in sold)
+    best = max(values[a] - prices[a] for a in allowed if a not in sold)
     struck: list[int] = []
     demand: list[int] = []
     for a in allowed:
-        net = row[a] - prices[a]
+        net = values[a] - prices[a]
         if a in sold:
             if net >= best:
                 struck.append(a)

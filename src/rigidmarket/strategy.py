@@ -18,15 +18,17 @@ strategy inside a value box by exhaustive enumeration.
 
 The search walks far fewer trees than it scores rows.  The walk of a
 reported economy reads the manipulator's reported row in one place
-only: her :func:`~rigidmarket.model.settled_demand` (permission row and
-demand) at each refresh where she reports.  Everything else the walk
-does reads the other buyers' rows, the price bounds and the state, and
-the profit is scored with her true row.  So the walk is a function of
-her answers: two rows that give the same answers, query by query, play
-the same rounds and score the same profit.  One search keeps a trie of
-the answer transcripts it has met (:class:`_AnswerTrie`); a new row
-replays the trie by answering its stored queries, and a tree is walked
-only when an answer is new.
+only: her :func:`~rigidmarket.model.settled_demand` call (permission
+row and demand) at each refresh where she reports.  Everything else the
+walk does reads the other buyers' rows, the price bounds and the state,
+and the profit is scored with her true row.  So the walk is a function
+of her answers: two rows that give the same answers, query by query,
+play the same rounds and score the same profit.  A query is that
+call's arguments less her row: prices, permission row and sold items.
+One search keeps a trie of the answer transcripts it has met
+(:class:`_AnswerTrie`); a new row replays the trie by calling
+``settled_demand`` on the stored queries, and only a new answer builds
+the reported economy and walks its tree.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotTwoBuyers, SizeGuard
-from .mechanism import MechanismState, rm
+from .mechanism import rm
 from .model import DUMMY, Economy, RationingSystem, _is_int, demand_set, settled_demand
 from .expectation import DEFAULT_NODE_LIMIT, _check_limit, _walk_lottery_tree, expected_values
 
@@ -65,7 +67,15 @@ class Strategy:
 
     @staticmethod
     def truthful(economy: Economy, buyer: int) -> "Strategy":
+        _check_buyer(economy, buyer)
         return Strategy(economy.valuations[buyer - 1])
+
+
+def _check_buyer(economy: Economy, buyer) -> None:
+    if not _is_int(buyer):
+        raise ValueError(f"NonIntegerEntry: a buyer must be an integer, got {buyer!r}")
+    if buyer not in economy.buyers:
+        raise ValueError(f"no buyer {buyer} in this economy")
 
 
 @dataclass(frozen=True)
@@ -74,8 +84,7 @@ class ManipulationProblem:
     manipulator: int = 1
 
     def __post_init__(self):
-        if self.manipulator not in self.economy.buyers:
-            raise ValueError(f"no buyer {self.manipulator} in this economy")
+        _check_buyer(self.economy, self.manipulator)
 
     def reported_economy(self, strategy: Strategy) -> Economy:
         if len(strategy.reported_values) != self.economy.n_items:
@@ -103,8 +112,10 @@ def _true_profit_of_run(
     holds an item her payoff is settled (sold prices never move), so
     those branches stop early; at settled leaves where she holds nothing
     the completion matching decides what she receives.  ``queries``, when
-    a list, receives in walk order each state at which she reports: she
-    is unsold and active there.
+    a list, receives in walk order one query per state at which she
+    reports (she is unsold and active there): the arguments of her
+    :func:`~rigidmarket.model.settled_demand` call at that refresh, less
+    her row.
     """
 
     def early(state):
@@ -112,7 +123,8 @@ def _true_profit_of_run(
         if bought is not None:
             return (true_row[bought] - state.prices[bought],)
         if queries is not None and manipulator in state.active:
-            queries.append(state)
+            allowed = state.rationing.allowed[manipulator - 1]
+            queries.append((state.prices, allowed, state.sold.item_to_buyer))
         return None
 
     def payoff(state):
@@ -158,101 +170,78 @@ class SearchResult:
 def _clamp_windows(lower, upper):
     """The windows :func:`_demand_signature` clamps to, for these price bounds.
 
-    One ``(low, high)`` per real item, and one ``(a, b, low, high)`` per
-    pair of real items ``a < b`` (``a`` and ``b`` index the row without
-    its dummy entry).
+    One ``(a, b, low, high)`` per pair of items ``a < b``, the dummy
+    included: ``low`` and ``high`` lie just past the attainable price
+    differences of ``a`` and ``b``.
     """
     m1 = len(lower)
-    singles = tuple((lower[a] - 1, upper[a] + 1) for a in range(1, m1))
-    pairs = tuple(
-        (a - 1, b - 1, lower[a] - upper[b] - 1, upper[a] - lower[b] + 1)
-        for a in range(1, m1)
+    return tuple(
+        (a, b, lower[a] - upper[b] - 1, upper[a] - lower[b] + 1)
+        for a in range(m1)
         for b in range(a + 1, m1)
     )
-    return singles, pairs
 
 
-def _demand_signature(values, windows):
+def _demand_signature(row, windows):
     """Key under which two reported rows behave identically.
 
     Demand sets compare net benefits, so only value differences against
-    attainable price differences matter; clamping to just past each
-    attainable window (:func:`_clamp_windows`) collapses equivalent rows.
+    attainable price differences matter (against the dummy, valued and
+    priced at zero, that is the value itself); clamping each difference
+    to its window (:func:`_clamp_windows`) collapses equivalent rows.
     """
-    singles, pairs = windows
-    clamped = []
-    for v, (low, high) in zip(values, singles):
-        clamped.append(low if v < low else high if v > high else v)
     diffs = []
-    for a, b, low, high in pairs:
-        d = values[a] - values[b]
+    for a, b, low, high in windows:
+        d = row[a] - row[b]
         diffs.append(low if d < low else high if d > high else d)
-    return tuple(clamped), tuple(diffs)
-
-
-def _answer(reported: Economy, manipulator: int, state: MechanismState):
-    """The manipulator's report, in ``reported``, at the refresh of ``state``.
-
-    It is her ``(permission row, demand)`` from :func:`settled_demand`.
-    """
-    allowed = state.rationing.allowed[manipulator - 1]
-    sold = state.sold.item_to_buyer
-    return settled_demand(reported, state.prices, allowed, manipulator, sold)
-
-
-class _Query:
-    """A trie node: one query state, with a child per answer met so far.
-
-    A child is the next query of the walks that gave that answer, or,
-    when the walk ends there, its exact profit.
-    """
-
-    __slots__ = ("state", "children")
-
-    def __init__(self, state: MechanismState):
-        self.state = state
-        self.children: dict = {}
+    return tuple(diffs)
 
 
 class _AnswerTrie:
     """Profits of one manipulator's walks, keyed by her answer transcripts.
 
-    :meth:`profit` replays the stored queries with a reported economy and
-    returns the profit at the end of its transcript; only when an answer
-    has no child does it walk the tree, and that walk's transcript goes
-    into the trie.  ``full_walks`` counts those walks.
+    A node is a ``(query, children)`` pair: the query, as recorded by
+    :func:`_true_profit_of_run`, and a child per answer met so far.  A
+    child is the next node of the walks that gave that answer or, when
+    the walk ends there, its exact profit.  :meth:`profit` answers the
+    stored queries with a reported row and returns the profit at the end
+    of its transcript; only when an answer has no child does it walk the
+    tree, and that walk's transcript goes into the trie.  ``full_walks``
+    counts those walks.
     """
 
-    def __init__(self, true_row, manipulator: int, node_limit: int):
-        self.true_row = true_row
+    def __init__(self, economy: Economy, manipulator: int, node_limit: int):
+        self.economy = economy
         self.manipulator = manipulator
+        self.true_row = economy.valuations[manipulator - 1]
         self.node_limit = node_limit
-        self.root: dict = {}  # the first query, under the key None
+        self.root: dict = {}  # the first node, under the key None
         self.full_walks = 0
 
-    def profit(self, reported: Economy) -> Fraction:
-        manipulator = self.manipulator
+    def profit(self, row) -> Fraction:
         node = self.root.get(None)
-        while type(node) is _Query:
-            node = node.children.get(_answer(reported, manipulator, node.state))
+        while type(node) is tuple:
+            query, children = node
+            node = children.get(settled_demand(row, *query))
         if node is None:
-            return self._walk(reported)
+            return self._walk(row)
         return node
 
-    def _walk(self, reported: Economy) -> Fraction:
+    def _walk(self, row) -> Fraction:
+        reported = self.economy.with_valuation_row(self.manipulator, row)
         queries: list = []
         profit = _true_profit_of_run(
             reported, self.true_row, self.manipulator, self.node_limit, queries
         )
         self.full_walks += 1
         children, key = self.root, None
-        for state in queries:
+        for query in queries:
             node = children.get(key)
             if node is None:
-                node = children[key] = _Query(state)
-            elif type(node) is not _Query:
+                node = children[key] = (query, {})
+            elif type(node) is not tuple:
                 raise RuntimeError("a walk's transcript runs past a recorded one")  # unreachable
-            children, key = node.children, _answer(reported, self.manipulator, state)
+            children, key = node[1], settled_demand(row, *query)
         if key in children:
             raise RuntimeError("a walk's transcript is already in the trie")  # unreachable
         children[key] = profit
@@ -295,26 +284,24 @@ def optimal_strategy_search(
         )
 
     manipulator = problem.manipulator
-    true_row = economy.valuations[manipulator - 1]
     windows = _clamp_windows(economy.lower_bounds, economy.upper_bounds)
-    trie = _AnswerTrie(true_row, manipulator, node_limit)
-    cache: dict = {}
+    trie = _AnswerTrie(economy, manipulator, node_limit)
+    seen: set = set()
     best_profit = None
     best_values = None
     for combo in itertools.product(range(cap + 1), repeat=m):
-        sig = _demand_signature(combo, windows)
-        if sig in cache:
+        row = (0, *combo)
+        sig = _demand_signature(row, windows)
+        if sig in seen:
             continue  # an earlier vector with this signature scored the same profit
-        reported = economy.with_valuation_row(manipulator, (0, *combo))
-        p = cache[sig] = trie.profit(reported)
+        seen.add(sig)
+        p = trie.profit(row)
         if best_profit is None or p > best_profit:
             best_profit, best_values = p, combo
 
     truthful = Strategy.truthful(economy, manipulator)
-    if max(true_row) <= cap:
-        truthful_profit = cache[_demand_signature(true_row[1:], windows)]
-    else:
-        truthful_profit = trie.profit(economy)
+    # inside the box this replays the transcript of its signature's first row
+    truthful_profit = trie.profit(truthful.reported_values)
     if truthful_profit >= best_profit:
         best_profit = truthful_profit
         chosen = truthful
@@ -327,7 +314,7 @@ def optimal_strategy_search(
         truthful_is_optimal=truthful_profit == best_profit,
         cap=cap,
         strategies_evaluated=total,
-        distinct_evaluations=len(cache),
+        distinct_evaluations=len(seen),
         full_walks=trie.full_walks,
     )
 

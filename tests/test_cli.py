@@ -114,6 +114,37 @@ def test_manipulate_search(capsys, data_dir):
     assert "truthful reporting optimal within the cap: no" in out
 
 
+MANIPULATE_BUYER_1_CAP_10 = """\
+cap: 10 (searched 14641 strategies, 5551 distinct evaluations)
+truthful expected profit: 0/1
+best strategy found: [0, 0, 5, 0]
+best expected profit: 1/3
+truthful reporting optimal within the cap: no
+"""
+
+MANIPULATE_BUYER_2 = """\
+cap: 15 (searched 65536 strategies, 8161 distinct evaluations)
+truthful expected profit: 3/1
+best strategy found: [7, 6, 8, 3]
+best expected profit: 3/1
+truthful reporting optimal within the cap: yes
+"""
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--buyer", "1", "--cap", "10"], MANIPULATE_BUYER_1_CAP_10),
+        (["--buyer", "2"], MANIPULATE_BUYER_2),
+    ],
+    ids=["buyer_1_cap_10", "buyer_2"],
+)
+def test_manipulate_search_output_is_pinned(capsys, data_dir, flags, expected):
+    path = str(data_dir / "example_market.json")
+    code, out, err = run_cli(capsys, "manipulate", path, *flags)
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_matching_command(capsys, data_dir):
     path = str(data_dir / "example_market.json")
     code, out, _ = run_cli(capsys, "matching", path, "--prices", "5,4,3,5")

@@ -386,6 +386,13 @@ def test_script_errors():
         run_mapr(economy, ScriptedLottery([1, 1]))
 
 
+@pytest.mark.parametrize("winner", [2.0, True, "2"], ids=["float", "bool", "str"])
+def test_scripted_winners_must_be_integers(market, winner):
+    # a float winner once ran to the end and wrote 2.0 into the trace
+    with pytest.raises(ValueError, match="^NonIntegerEntry"):
+        run_mapr(market, ScriptedLottery([winner]))
+
+
 def test_completion_sells_marked_up_items(market):
     # terminal state of the first golden branch, rebuilt by hand
     rationing = RationingSystem.full(5, 5).forbid(1, 3).forbid(3, 3)

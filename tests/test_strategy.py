@@ -25,7 +25,12 @@ from rigidmarket import (
     two_buyer_case_analysis,
 )
 from rigidmarket.mechanism import apply_sale, gate
-from rigidmarket.strategy import _AnswerTrie, _true_profit_of_run
+from rigidmarket.strategy import (
+    _AnswerTrie,
+    _clamp_windows,
+    _demand_signature,
+    _true_profit_of_run,
+)
 
 from strategies import economies, make_economy, random_economy
 
@@ -52,6 +57,33 @@ def test_strategy_validation():
     with pytest.raises(ValueError, match="^NonIntegerEntry"):
         Strategy((0, True, 3, 9, 7))
     assert Strategy.from_real_values([2, 0]).reported_values == (0, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda m: ManipulationProblem(m, 1.0), "^NonIntegerEntry"),
+        (lambda m: ManipulationProblem(m, True), "^NonIntegerEntry"),
+        (lambda m: ManipulationProblem(m, 6), "no buyer 6 in this economy"),
+        (lambda m: Strategy.truthful(m, 0), "no buyer 0 in this economy"),
+        (lambda m: Strategy.truthful(m, -1), "no buyer -1 in this economy"),
+        (lambda m: Strategy.truthful(m, 6), "no buyer 6 in this economy"),
+        (lambda m: Strategy.truthful(m, True), "^NonIntegerEntry"),
+    ],
+    ids=[
+        "problem_float",
+        "problem_bool",
+        "problem_unknown",
+        "truthful_zero",
+        "truthful_negative",
+        "truthful_past_last",
+        "truthful_bool",
+    ],
+)
+def test_only_existing_buyers_are_accepted(market, make, message):
+    # 1.0 and True are "in" range(1, 6), and negative indices read other rows
+    with pytest.raises(ValueError, match=message):
+        make(market)
 
 
 def test_truthful_profit_running_example(market):
@@ -136,6 +168,19 @@ def box_signature(economy, values):
     return singles, diffs
 
 
+@settings(max_examples=60)
+@given(economies(max_buyers=2, max_real_items=4, max_value=6), st.integers(0, 4))
+def test_signature_partitions_the_box_like_the_oracle(economy, cap):
+    # one clamp rule over all pairs of the full row, dummy included, splits
+    # the box exactly as the oracle's singles plus real pairs do
+    windows = _clamp_windows(economy.lower_bounds, economy.upper_bounds)
+    by_search, by_oracle = {}, {}
+    for values in itertools.product(range(cap + 1), repeat=economy.n_items - 1):
+        by_search.setdefault(_demand_signature((0, *values), windows), set()).add(values)
+        by_oracle.setdefault(box_signature(economy, values), set()).add(values)
+    assert sorted(map(sorted, by_search.values())) == sorted(map(sorted, by_oracle.values()))
+
+
 def brute_force_search(problem, cap):
     """Every vector of the box scored by the plain walk, with the documented tie rule.
 
@@ -185,16 +230,16 @@ def test_answer_trie_replays_the_plain_walk(economy, data):
         st.lists(st.tuples(*[st.integers(0, 9)] * m), min_size=1, max_size=12)
     )
     truth = economy.valuations[0]
-    trie = _AnswerTrie(truth, 1, 10**6)
+    trie = _AnswerTrie(economy, 1, 10**6)
     for row in rows:
         reported = economy.with_valuation_row(1, (0, *row))
-        assert trie.profit(reported) == _true_profit_of_run(reported, truth, 1, 10**6)
+        assert trie.profit((0, *row)) == _true_profit_of_run(reported, truth, 1, 10**6)
     walks = trie.full_walks
     assert walks <= len(set(rows))
     # every transcript is recorded now: a second pass only replays
     for row in rows:
         reported = economy.with_valuation_row(1, (0, *row))
-        assert trie.profit(reported) == _true_profit_of_run(reported, truth, 1, 10**6)
+        assert trie.profit((0, *row)) == _true_profit_of_run(reported, truth, 1, 10**6)
     assert trie.full_walks == walks
 
 
@@ -229,7 +274,10 @@ def test_walk_queries_exactly_the_states_where_she_reports(economy, data):
     reported = economy.with_valuation_row(1, (0, *row))
     queries = []
     _true_profit_of_run(reported, economy.valuations[0], 1, 10**6, queries)
-    assert queries == reporting_states(reported, 1)
+    assert queries == [
+        (s.prices, s.rationing.allowed[0], s.sold.item_to_buyer)
+        for s in reporting_states(reported, 1)
+    ]
 
 
 def test_search_size_guard_counts_like_the_plain_walk():
