@@ -30,7 +30,6 @@ from .model import (
     economy_from_dict,
     indirect_utility,
     is_admissible,
-    load_economy,
     validate_economy,
 )
 from .matching import (

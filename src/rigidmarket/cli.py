@@ -17,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .equilibrium import CONDITION_NAMES, check_cwe
@@ -45,6 +46,14 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _decimal(x: Fraction) -> str:
+    """``x`` as a float; past the float range, as a ``Decimal`` quotient."""
+    try:
+        return str(float(x))
+    except OverflowError:
+        return str(Decimal(x.numerator) / x.denominator)
+
+
 class CliError(Exception):
     pass
 
@@ -60,7 +69,10 @@ def _parse_int(text: str, flag: str) -> int:
     """An optional sign, then ASCII digits; ``int`` alone takes ``1_0`` and non-ASCII digits."""
     if not re.fullmatch(r"[+-]?[0-9]+", text):
         raise CliError(f"NonIntegerEntry: {flag}: {text!r} is not an integer")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError as exc:  # CPython's limit on int-string conversion
+        raise CliError(f"IntegerTooLong: {flag}: {exc}")
 
 
 def _int_flag(flag: str):
@@ -82,15 +94,21 @@ def _read_json(path):
     """The decoded JSON document at ``path``; any read or decode failure is a CliError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
         raise CliError(f"FileNotFound: no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"MalformedJSON: malformed JSON in {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise CliError(f"NotUTF8: {path} is not UTF-8 text: {exc}")
     except OSError as exc:
         raise CliError(f"UnreadableFile: cannot read {path}: {exc.strerror or exc}")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"MalformedJSON: malformed JSON in {path}: {exc}")
+    except RecursionError:
+        raise CliError(f"MalformedJSON: malformed JSON in {path}: nested too deeply")
+    except ValueError as exc:  # CPython's limit on int-string conversion
+        raise CliError(f"IntegerTooLong: {path}: {exc}")
 
 
 def _load(path):
@@ -222,10 +240,10 @@ def _cmd_expect(args) -> int:
     report = expected_values(economy, node_limit=_node_limit(args))
     for i in economy.buyers:
         value = report.expected_profit[i]
-        print(f"u*[{i}] = {_frac(value)} ({float(value)})")
+        print(f"u*[{i}] = {_frac(value)} ({_decimal(value)})")
     for a in economy.real_items:
         value = report.expected_price[a]
-        print(f"p*[{economy.item_names[a]}] = {_frac(value)} ({float(value)})")
+        print(f"p*[{economy.item_names[a]}] = {_frac(value)} ({_decimal(value)})")
     stats = report.tree_stats
     print(f"tree: {stats.nodes} nodes, {stats.leaves} leaves")
     if args.histories:
@@ -259,7 +277,7 @@ def _cmd_manipulate(args) -> int:
         strategy = Strategy.from_real_values(values)
         profit = expected_profit_under_strategy(problem, strategy, node_limit=node_limit)
         print(f"reported values: {values}")
-        print(f"expected profit for buyer {args.buyer}: {_frac(profit)} ({float(profit)})")
+        print(f"expected profit for buyer {args.buyer}: {_frac(profit)} ({_decimal(profit)})")
         return 0
     if args.cap is not None and args.cap < 0:
         raise CliError(f"NegativeEntry: --cap: the value cap must be non-negative, got {args.cap}")

@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Mapping, Optional
 
 from .errors import SizeGuard
-from .model import DUMMY, Allocation, Economy, RationingSystem, demand_set
+from .model import DUMMY, Allocation, Economy, RationingSystem, indirect_utility
 
 CONDITION_NAMES = (
     "admissible prices and well-formed rationing",
@@ -55,6 +55,12 @@ class EquilibriumCertificate:
         )
 
 
+def _verdict(witnesses) -> ConditionVerdict:
+    """The verdict of one condition from an iterator over its failure witnesses."""
+    witness = next(witnesses, None)
+    return ConditionVerdict(witness is None, witness)
+
+
 def check_cwe(
     economy: Economy,
     prices,
@@ -62,6 +68,12 @@ def check_cwe(
     allocation: Allocation,
 ) -> EquilibriumCertificate:
     """Evaluate all five equilibrium conditions; failures become verdicts.
+
+    Each buyer's best net benefit over her allowed items is read once.
+    She demands her item (condition 2) when it is allowed and nets that
+    best.  Lifting a single bar on item ``a`` raises her best to at
+    least ``a``'s net benefit, so she would demand ``a`` (condition 5)
+    exactly when it nets no less than her current best.
 
     Structurally malformed inputs (wrong lengths, out-of-range items)
     raise ValueError instead of producing a certificate.
@@ -76,49 +88,25 @@ def check_cwe(
         if not 0 <= a < economy.n_items:
             raise ValueError(f"allocation refers to unknown item {a}")
 
-    verdicts = []
-
-    witness = None
-    if prices[DUMMY] != 0:
-        witness = (None, DUMMY)
-    else:
-        for a in economy.real_items:
-            if not economy.lower_bounds[a] <= prices[a] <= economy.upper_bounds[a]:
-                witness = (None, a)
-                break
-    verdicts.append(ConditionVerdict(witness is None, witness))
-
-    witness = None
-    for i in economy.buyers:
-        if allocation.item_of(i) not in demand_set(economy, prices, rationing, i):
-            witness = (i, allocation.item_of(i))
-            break
-    verdicts.append(ConditionVerdict(witness is None, witness))
-
+    best = {i: indirect_utility(economy, prices, rationing, i) for i in economy.buyers}
     assigned = allocation.assigned_items()
-    witness = None
-    for a in economy.real_items:
-        if a not in assigned and prices[a] != economy.lower_bounds[a]:
-            witness = (None, a)
-            break
-    verdicts.append(ConditionVerdict(witness is None, witness))
-
-    witness = None
-    for i, a in rationing.zeros(economy.n_items):
-        if prices[a] != economy.upper_bounds[a] or a not in assigned:
-            witness = (i, a)
-            break
-    verdicts.append(ConditionVerdict(witness is None, witness))
-
-    witness = None
-    for i, a in rationing.zeros(economy.n_items):
-        # Lift only this one bar and see whether the item becomes demanded.
-        if a not in demand_set(economy, prices, rationing.allow(i, a), i):
-            witness = (i, a)
-            break
-    verdicts.append(ConditionVerdict(witness is None, witness))
-
-    return EquilibriumCertificate(tuple(verdicts))
+    zeros = rationing.zeros(economy.n_items)
+    lower, upper = economy.lower_bounds, economy.upper_bounds
+    conditions = (
+        # validate_economy fixes the dummy's bounds at 0, so this pins its price at 0
+        _verdict((None, a) for a in economy.items if not lower[a] <= prices[a] <= upper[a]),
+        _verdict(
+            (i, a)
+            for i, a in enumerate(allocation.assignment, start=1)
+            if a not in rationing.allowed[i - 1] or economy.value(i, a) - prices[a] != best[i]
+        ),
+        _verdict(
+            (None, a) for a in economy.real_items if a not in assigned and prices[a] != lower[a]
+        ),
+        _verdict((i, a) for i, a in zeros if prices[a] != upper[a] or a not in assigned),
+        _verdict((i, a) for i, a in zeros if economy.value(i, a) - prices[a] < best[i]),
+    )
+    return EquilibriumCertificate(conditions)
 
 
 def _demanded_items(demands: Mapping[int, frozenset[int]]) -> frozenset[int]:

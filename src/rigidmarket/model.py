@@ -14,7 +14,6 @@ across concurrent tasks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -99,13 +98,6 @@ class RationingSystem:
         row = frozenset(range(n_items))
         return RationingSystem((row,) * n_buyers)
 
-    def is_allowed(self, buyer: int, item: int) -> bool:
-        return item in self.allowed[buyer - 1]
-
-    def forbidden(self, buyer: int, n_items: int) -> frozenset[int]:
-        """The set of items buyer may not demand (``U_i`` in traces)."""
-        return frozenset(range(n_items)) - self.allowed[buyer - 1]
-
     def forbid(self, buyer: int, item: int) -> "RationingSystem":
         return self.forbid_many(buyer, (item,))
 
@@ -115,11 +107,6 @@ class RationingSystem:
             raise ValueError("cannot forbid the dummy item")
         rows = list(self.allowed)
         rows[buyer - 1] = rows[buyer - 1] - items
-        return RationingSystem(tuple(rows))
-
-    def allow(self, buyer: int, item: int) -> "RationingSystem":
-        rows = list(self.allowed)
-        rows[buyer - 1] = rows[buyer - 1] | {item}
         return RationingSystem(tuple(rows))
 
     def zeros(self, n_items: int) -> tuple[tuple[int, int], ...]:
@@ -263,12 +250,6 @@ def economy_from_dict(data: Mapping) -> Economy:
     lower = (0, *data["lower_bounds"])
     upper = (0, *data["upper_bounds"])
     return validate_economy(names, rows, lower, upper)
-
-
-def load_economy(path) -> Economy:
-    with open(path) as fh:
-        data = json.load(fh)
-    return economy_from_dict(data)
 
 
 def is_admissible(economy: Economy, prices: Sequence[int]) -> bool:

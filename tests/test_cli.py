@@ -321,6 +321,63 @@ def test_unreadable_files_exit_one(capsys, tmp_path, data_dir):
     assert code == 1 and err.startswith("MalformedJSON: malformed JSON in")
 
 
+@pytest.mark.parametrize("role", ["economy", "tuple"])
+def test_deeply_nested_json_is_malformed(capsys, tmp_path, data_dir, role):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    files = {"economy": str(data_dir / "example_market.json"), "tuple": str(deep)}
+    files[role] = str(deep)
+    code, _, err = run_cli(capsys, "check", files["economy"], "--tuple", files["tuple"])
+    assert code == 1
+    assert err.startswith(f"MalformedJSON: malformed JSON in {deep}: nested too deeply")
+    assert "Traceback" not in err
+
+
+LONG_INT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["expect", "ECONOMY"], "ECONOMY"),
+        (["check", "MARKET", "--tuple", "TUPLE"], "TUPLE"),
+        (["manipulate", "MARKET", "--strategy", f"1,2,3,{LONG_INT}"], "--strategy"),
+        (["matching", "MARKET", "--prices", f"5,4,4,{LONG_INT}"], "--prices"),
+        (["run", "MARKET", "--scripted-winners", LONG_INT], "--scripted-winners"),
+        (["run", "MARKET", "--seed", LONG_INT], "--seed"),
+    ],
+    ids=["economy", "tuple", "strategy", "prices", "scripted_winners", "seed"],
+)
+def test_overlong_integers_are_coded(capsys, tmp_path, data_dir, argv, where):
+    economy = tmp_path / "economy.json"
+    economy.write_text(json.dumps(ONE_ITEM).replace("[[3]]", f"[[{LONG_INT}]]"))
+    tuple_file = tmp_path / "tuple.json"
+    tuple_file.write_text(json.dumps(TERMINAL_TUPLE).replace("[5,", f"[{LONG_INT},"))
+    paths = {
+        "ECONOMY": str(economy),
+        "TUPLE": str(tuple_file),
+        "MARKET": str(data_dir / "example_market.json"),
+    }
+    code, _, err = run_cli(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert code == 1
+    assert err.startswith(f"IntegerTooLong: {paths.get(where, where)}: Exceeds the limit")
+    assert "Traceback" not in err
+
+
+def test_expected_values_beyond_the_float_range_print_as_decimals(capsys, tmp_path):
+    path = tmp_path / "economy.json"
+    huge = 10**400
+    two_buyers = {**ONE_ITEM, "buyers": 2, "valuations": [[huge], [huge]]}
+    path.write_text(json.dumps({**two_buyers, "lower_bounds": [0], "upper_bounds": [0]}))
+    half = f"{huge // 2}/1 (5.000000000000000000000000000E+399)"
+    code, out, err = run_cli(capsys, "expect", str(path))
+    assert code == 0, err
+    assert f"u*[1] = {half}\nu*[2] = {half}\np*[a] = 0/1 (0.0)\n" in out
+    code, out, err = run_cli(capsys, "manipulate", str(path), "--strategy", "1")
+    assert code == 0, err
+    assert f"expected profit for buyer 1: {half}\n" in out
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

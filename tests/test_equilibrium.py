@@ -1,19 +1,23 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from rigidmarket import (
+    DUMMY,
     Allocation,
     RationingSystem,
     SizeGuard,
     brute_force_equilibrium_allocation,
     check_cwe,
+    demand_set,
     demand_situation,
     equilibrium_allocation_exists,
     enumerate_histories,
+    indirect_utility,
     TreeSizeExceeded,
 )
 
-from strategies import demand_situations, economies
+from strategies import demand_situations, economies, markets
 
 
 def example_tuple(market):
@@ -126,3 +130,73 @@ def test_every_mechanism_history_is_an_equilibrium(economy):
     for leaf in leaves:
         certificate = check_cwe(economy, leaf.prices, leaf.rationing, leaf.allocation)
         assert certificate.ok, certificate.failures()
+
+
+def literal_verdicts(economy, prices, rationing, allocation):
+    """The five conditions read as defined: (ok, first witness) for each."""
+    assigned = {a for a in allocation.assignment if a != DUMMY}
+    zeros = [
+        (i, a) for i in economy.buyers for a in economy.items if a not in rationing.allowed[i - 1]
+    ]
+
+    def lifted(i, a):
+        rows = list(rationing.allowed)
+        rows[i - 1] = rows[i - 1] | {a}
+        return RationingSystem(tuple(rows))
+
+    def admissible(a):
+        if a == DUMMY:
+            return prices[a] == 0
+        return economy.lower_bounds[a] <= prices[a] <= economy.upper_bounds[a]
+
+    witnesses = (
+        [(None, a) for a in economy.items if not admissible(a)],
+        [
+            (i, allocation.item_of(i))
+            for i in economy.buyers
+            if allocation.item_of(i) not in demand_set(economy, prices, rationing, i)
+        ],
+        [
+            (None, a)
+            for a in economy.real_items
+            if a not in assigned and prices[a] != economy.lower_bounds[a]
+        ],
+        [(i, a) for i, a in zeros if prices[a] != economy.upper_bounds[a] or a not in assigned],
+        [(i, a) for i, a in zeros if a not in demand_set(economy, prices, lifted(i, a), i)],
+    )
+    return tuple((not found, found[0] if found else None) for found in witnesses)
+
+
+@st.composite
+def checker_inputs(draw):
+    """A market, some prices moved off their bounds, and an allocation.
+
+    The edge case of conditions 2 and 5 is a barred item netting the
+    buyer's best, so some buyers get such a bar, and most buyers hold an
+    item netting their best, often a barred one.
+    """
+    economy, prices, rationing = draw(markets())
+    prices = list(prices)
+    for a in economy.items:
+        if draw(st.integers(0, 3)) == 0:
+            prices[a] += draw(st.sampled_from([-2, -1, 1, 2]))
+    for i in economy.buyers:
+        if draw(st.booleans()):
+            a = draw(st.sampled_from(economy.real_items))
+            rationing = rationing.forbid(i, a)
+            prices[a] = economy.value(i, a) - indirect_utility(economy, prices, rationing, i)
+    assignment = []
+    for i in economy.buyers:
+        best = indirect_utility(economy, prices, rationing, i)
+        ties = [a for a in economy.items if economy.value(i, a) - prices[a] == best]
+        barred_ties = [a for a in ties if a not in rationing.allowed[i - 1]] or ties
+        a = draw(st.sampled_from(draw(st.sampled_from([ties, barred_ties, economy.items]))))
+        assignment.append(DUMMY if a in assignment else a)
+    return economy, tuple(prices), rationing, Allocation(tuple(assignment))
+
+
+@given(checker_inputs())
+def test_check_cwe_matches_the_definitions(case):
+    certificate = check_cwe(*case)
+    found = tuple((c.ok, c.witness) for c in certificate.conditions)
+    assert found == literal_verdicts(*case)

@@ -181,7 +181,7 @@ def test_refresh_strikes_sold_items(market):
         demands={},
     )
     state = refresh_demands(market, state)
-    assert state.rationing.forbidden(3, 5) == frozenset({3})
+    assert frozenset(range(5)) - state.rationing.allowed[3 - 1] == frozenset({3})
     assert state.demands[3] == frozenset({4})
     assert state.demands[1] == frozenset({4})
 
@@ -205,7 +205,7 @@ def test_refresh_chains_through_two_sold_items():
     )
     state = refresh_demands(economy, state)
     # first report hits sold a, the re-report hits sold b, then c and o tie
-    assert state.rationing.forbidden(1, 4) == frozenset({1, 2})
+    assert frozenset(range(4)) - state.rationing.allowed[1 - 1] == frozenset({1, 2})
     assert state.demands[1] == frozenset({0, 3})
 
 
@@ -221,7 +221,7 @@ def test_refresh_strikes_only_the_sold_members_of_a_tie():
     )
     state = refresh_demands(economy, state)
     # a and b tie at net 4; only sold a is struck and b stays demanded
-    assert state.rationing.forbidden(1, 4) == frozenset({1})
+    assert frozenset(range(4)) - state.rationing.allowed[1 - 1] == frozenset({1})
     assert state.demands[1] == frozenset({2})
 
 
@@ -239,7 +239,7 @@ def test_refresh_stops_at_the_dummy_when_every_real_item_is_sold():
     state = refresh_demands(economy, state)
     # a (net 8) and b (net 7) are struck; the walk ends at o (net 0), so
     # sold c (net -1) lies below it and is never struck
-    assert state.rationing.forbidden(1, 4) == frozenset({1, 2})
+    assert frozenset(range(4)) - state.rationing.allowed[1 - 1] == frozenset({1, 2})
     assert state.demands[1] == frozenset({DUMMY})
     # rows that lose nothing stay the same objects
     for k in (1, 2, 3):
@@ -533,7 +533,8 @@ def reference_row(economy, state, label, x_min, lottery):
         prices=state.prices,
         x_min=tuple(sorted(x_min)) if x_min else (),
         u_sets=tuple(
-            tuple(sorted(state.rationing.forbidden(i, economy.n_items))) for i in economy.buyers
+            tuple(sorted(frozenset(range(economy.n_items)) - state.rationing.allowed[i - 1]))
+            for i in economy.buyers
         ),
         sold_buyers=tuple(sorted(state.sold.matched_buyers())),
         demands=tuple(
