@@ -23,7 +23,7 @@ from fractions import Fraction
 from .equilibrium import CONDITION_NAMES, check_cwe
 from .errors import EconomyValidationError, ScriptError, SizeGuard, TreeSizeExceeded
 from .expectation import DEFAULT_NODE_LIMIT, enumerate_histories, expected_values
-from .matching import max_matching
+from .matching import max_matching, unserved
 from .mechanism import ScriptedLottery, SeededLottery, run_mapr
 from .model import (
     DUMMY,
@@ -101,6 +101,8 @@ def _read_json(path):
         raise CliError(f"NotUTF8: {path} is not UTF-8 text: {exc}")
     except OSError as exc:
         raise CliError(f"UnreadableFile: cannot read {path}: {exc.strerror or exc}")
+    except ValueError as exc:  # a path ``open`` refuses, such as one with a null byte
+        raise CliError(f"UnreadableFile: cannot read {path!r}: {exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -315,7 +317,7 @@ def _cmd_matching(args) -> int:
     matching = max_matching(demands)
     pairs = " ".join(f"{i}-{economy.item_names[a]}" for i, a in matching.pairs())
     print(f"maximum matching ({len(matching)} edges): {pairs or '-'}")
-    served = len(matching) == sum(DUMMY not in d for d in demands.values())
+    served = unserved(demands, matching) is None
     print(f"equilibrium allocation exists: {'yes' if served else 'no'}")
     return 0
 

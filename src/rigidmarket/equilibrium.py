@@ -82,6 +82,8 @@ def check_cwe(
         raise ValueError("price vector length does not match the economy")
     if len(rationing.allowed) != economy.n_buyers:
         raise ValueError("rationing has the wrong number of buyer rows")
+    if not frozenset().union(*rationing.allowed) <= frozenset(economy.items):
+        raise ValueError("rationing refers to an unknown item")
     if len(allocation.assignment) != economy.n_buyers:
         raise ValueError("allocation length does not match the economy")
     for a in allocation.assignment:

@@ -249,13 +249,18 @@ def enumerate_histories(
 def aggregate_histories(
     economy: Economy, leaves
 ) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-    """Probability-weighted profits and prices from an exhaustive leaf list."""
-    profits = {i: Fraction(0) for i in economy.buyers}
-    prices = {a: Fraction(0) for a in economy.items}
+    """Probability-weighted profits and prices from an exhaustive leaf list.
+
+    The leaves that share a probability have their integer profits and
+    prices summed first, so each column takes one ``Fraction`` product
+    per distinct probability.
+    """
+    n = economy.n_buyers
+    groups: dict[Fraction, list[list[int]]] = {}
     for leaf in leaves:
-        for i in economy.buyers:
-            item = leaf.allocation.item_of(i)
-            profits[i] += leaf.probability * (economy.value(i, item) - leaf.prices[item])
-        for a in economy.items:
-            prices[a] += leaf.probability * leaf.prices[a]
-    return profits, prices
+        paid = leaf.prices
+        row = [v[a] - paid[a] for v, a in zip(economy.valuations, leaf.allocation.assignment)]
+        groups.setdefault(leaf.probability, []).append(row + list(paid))
+    sums = [(p, [sum(column) for column in zip(*rows)]) for p, rows in groups.items()]
+    totals = [sum((p * s[k] for p, s in sums), Fraction(0)) for k in range(n + economy.n_items)]
+    return dict(zip(economy.buyers, totals)), dict(zip(economy.items, totals[n:]))

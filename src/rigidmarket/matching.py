@@ -67,26 +67,11 @@ class Matching:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.buyer_to_item.items()))
 
-    def covers_buyer(self, buyer: int) -> bool:
-        return buyer in self.buyer_to_item
-
-    def covers_item(self, item: int) -> bool:
-        return item in self.item_to_buyer
-
-    def matched_buyers(self) -> frozenset[int]:
-        return frozenset(self.buyer_to_item)
-
-    def matched_items(self) -> frozenset[int]:
-        return frozenset(self.item_to_buyer)
-
     def __len__(self) -> int:
         return len(self.buyer_to_item)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matching) and self.buyer_to_item == other.buyer_to_item
-
-    def __hash__(self):
-        return hash(frozenset(self.buyer_to_item.items()))
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{i}-{a}" for i, a in self.pairs())
@@ -192,6 +177,19 @@ def matching_to_allocation(matching: Matching, n_buyers: int) -> Allocation:
     return Allocation(tuple(matching.buyer_to_item.get(i, DUMMY) for i in range(1, n_buyers + 1)))
 
 
+def unserved(demands: Mapping[int, frozenset[int]], matching: Matching) -> Optional[int]:
+    """The lowest buyer who insists on real items and whom ``matching`` leaves unmatched.
+
+    None when there is no such buyer.  For a maximum matching that means
+    every demander can be served at once, and otherwise ``mods`` grows its
+    over-demanded set from the buyer returned.
+    """
+    for i in sorted(demands.keys() - matching.buyer_to_item.keys()):
+        if DUMMY not in demands[i]:
+            return i
+    return None
+
+
 def equilibrium_allocation_exists(demands: Mapping[int, frozenset[int]]) -> bool:
     """True when every buyer insisting on real items can be served one she demands."""
-    return len(max_matching(demands)) == sum(DUMMY not in d for d in demands.values())
+    return unserved(demands, max_matching(demands)) is None

@@ -30,11 +30,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Iterable, Mapping, Optional, Protocol, Sequence
 
 from .errors import NoEntrants, ScriptError, UpperBoundViolation
-from .matching import Matching, matching_to_allocation, max_matching, maximum_matching, build_graph
-from .model import DUMMY, Allocation, Economy, RationingSystem, _is_int, settled_demand
+from .matching import (
+    Matching, build_graph, matching_to_allocation, max_matching, maximum_matching, unserved
+)
+from .model import Allocation, Economy, RationingSystem, _is_int, settled_demand
 from .overdemand import mods
 
 
@@ -142,9 +144,10 @@ def refresh_demands(economy: Economy, state: MechanismState) -> MechanismState:
     Every other unsold buyer keeps its report in ``state.demands``;
     :func:`price_increase_step` and :func:`apply_sale` only leave a buyer
     inactive when that report is still its demand and touches no sold
-    item.  Afterwards ``demands`` has one report per unsold buyer.  At
-    most one :class:`RationingSystem` is built, and a permission row that
-    loses no item stays the same object.
+    item.  Afterwards ``demands`` has one report per unsold buyer.  A
+    permission row that loses no item stays the same object, so a round
+    in which nobody strikes builds no :class:`RationingSystem`, and any
+    other round builds one.
     """
     demands = dict(state.demands)
     prices = state.prices
@@ -177,7 +180,7 @@ def gate(economy: Economy, state: MechanismState):
     """
     demands = state.demands
     matched = max_matching(demands)
-    if len(matched) == sum(DUMMY not in d for d in demands.values()):
+    if unserved(demands, matched) is None:
         return None, None, ()
     x_min = mods(demands, matched)
     caps = economy.upper_bounds
@@ -264,21 +267,19 @@ def rm(
     """
     n_items = len(prices)
     marked_up = frozenset(
-        a
-        for a in range(1, n_items)
-        if not sold.covers_item(a) and prices[a] > lower_bounds[a]
+        a for a in range(1, n_items) if a not in sold.item_to_buyer and prices[a] > lower_bounds[a]
     )
     touching = {i: d & marked_up for i, d in demands.items() if d & marked_up}
     pinned = max_matching(touching)
 
     graph = build_graph(demands)
-    seed_pairs = [(i, a) for i, a in pinned.pairs() if i in graph and a in graph[i]]
+    seed_pairs = [(i, a) for i, a in pinned.pairs() if i in graph]
     grown = maximum_matching(graph, Matching(seed_pairs))
 
     extra = [
         (i, a)
         for i, a in pinned.pairs()
-        if not grown.covers_buyer(i) and not grown.covers_item(a)
+        if i not in grown.buyer_to_item and a not in grown.item_to_buyer
     ]
     return Matching(grown.pairs() + tuple(extra))
 
@@ -297,7 +298,18 @@ class TraceRow:
     lottery: Optional[LotteryEvent] = None
 
 
-def _json_list(encoded: list[str]) -> str:
+class _Memo(dict):
+    """A dict that builds a missing key's value with ``build`` and keeps it."""
+
+    def __init__(self, build):
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
+def _json_list(encoded: Iterable[str]) -> str:
     """A JSON array of already-encoded values, spaced as ``json.dumps`` spaces it."""
     return "[" + ", ".join(encoded) + "]"
 
@@ -355,29 +367,18 @@ class Trace:
         Each row line equals ``json.dumps(self.row_dict(row))``.  Rows
         repeat most of their item sets and whole ``U``/``D`` columns, so
         the line is joined from pre-encoded pieces: each item name is
-        encoded once with ``json.dumps``, each distinct item set once, and
-        a ``U``/``D`` column only when it is not the previous row's column
-        object (run_mapr hands unchanged columns on as the same object).
+        encoded once with ``json.dumps``, each distinct cell once, and a
+        ``U``/``D`` column only when it differs from the previous row's.
         """
         quoted = [json.dumps(name) for name in self.item_names]
-        encoded_sets: dict[tuple[int, ...], str] = {}
-
-        def encode_set(items: tuple[int, ...]) -> str:
-            text = encoded_sets.get(items)
-            if text is None:
-                text = encoded_sets[items] = _json_list([quoted[a] for a in sorted(items)])
-            return text
-
-        def encode_column(cells: tuple) -> str:
-            return _json_list(["null" if c is None else encode_set(c) for c in cells])
-
+        text = _Memo(lambda c: "null" if c is None else _json_list([quoted[a] for a in sorted(c)]))
         lines = []
         u_sets = demands = None
         for row in self.rows:
-            if row.u_sets is not u_sets:
-                u_sets, u_text = row.u_sets, encode_column(row.u_sets)
-            if row.demands is not demands:
-                demands, d_text = row.demands, encode_column(row.demands)
+            if row.u_sets != u_sets:
+                u_sets, u_text = row.u_sets, _json_list(map(text.__getitem__, row.u_sets))
+            if row.demands != demands:
+                demands, d_text = row.demands, _json_list(map(text.__getitem__, row.demands))
             lottery = "null"
             if row.lottery is not None:
                 lottery = (
@@ -387,10 +388,10 @@ class Trace:
                 )
             lines.append(
                 f'{{"t": {json.dumps(row.label)}, "prices": {_json_ints(row.prices)}, '
-                f'"x_min": {encode_set(row.x_min)}, "u_sets": {u_text}, '
+                f'"x_min": {text[row.x_min]}, "u_sets": {u_text}, '
                 f'"sold_buyers": {_json_ints(row.sold_buyers)}, '
                 f'"demands": {d_text}, '
-                f'"sold_items": {encode_set(row.sold_items)}, "lottery": {lottery}}}'
+                f'"sold_items": {text[row.sold_items]}, "lottery": {lottery}}}'
             )
         lines.append(json.dumps({"final": self.final_dict()}))
         return lines
@@ -455,61 +456,29 @@ class MaprOutcome:
         return tuple(e.winner for e in self.trace.events)
 
 
-_UNSEEN = object()
-
-
 class _TraceRows:
-    """Trace rows for one run, re-sorting only the cells that changed.
+    """Trace rows for one run, building each distinct ``U_i``/``D_i`` cell once.
 
     Between rounds most buyers keep both their permission row and their
-    demand report as the very same objects, so each buyer's ``U_i`` and
-    ``D_i`` cells are cached against the identity of their source set.
+    demand report, so each cell is cached against the value of its
+    source set.
     """
 
     def __init__(self, economy: Economy):
-        n = economy.n_buyers
-        self._n_items = economy.n_items
+        items = economy.items
         self._buyers = economy.buyers
-        self._allowed: list = [_UNSEEN] * n
-        self._u_cells: list = [()] * n
-        self._u_sets: tuple = ()
-        self._reports: list = [_UNSEEN] * n
-        self._d_cells: list = [None] * n
-        self._demands: tuple = ()
-
-    def _u_sets_of(self, rationing: RationingSystem) -> tuple:
-        changed = False
-        for k, allowed in enumerate(rationing.allowed):
-            if allowed is not self._allowed[k]:
-                self._allowed[k] = allowed
-                self._u_cells[k] = tuple(a for a in range(self._n_items) if a not in allowed)
-                changed = True
-        if changed:
-            self._u_sets = tuple(self._u_cells)
-        return self._u_sets
-
-    def _demands_of(self, state: MechanismState) -> tuple:
-        demands = state.demands
-        changed = False
-        for k, i in enumerate(self._buyers):
-            report = demands.get(i)
-            if report is not self._reports[k]:
-                self._reports[k] = report
-                self._d_cells[k] = None if report is None else tuple(sorted(report))
-                changed = True
-        if changed:
-            self._demands = tuple(self._d_cells)
-        return self._demands
+        self._u_cell = _Memo(lambda allowed: tuple(a for a in items if a not in allowed))
+        self._d_cell = _Memo(lambda report: None if report is None else tuple(sorted(report)))
 
     def row(self, state: MechanismState, label: str, x_min, lottery) -> TraceRow:
         return TraceRow(
             label=label,
             prices=state.prices,
-            x_min=tuple(sorted(x_min)) if x_min else (),
-            u_sets=self._u_sets_of(state.rationing),
-            sold_buyers=tuple(sorted(state.sold.matched_buyers())),
-            demands=self._demands_of(state),
-            sold_items=tuple(sorted(state.sold.matched_items())),
+            x_min=tuple(sorted(x_min)),
+            u_sets=tuple(map(self._u_cell.__getitem__, state.rationing.allowed)),
+            sold_buyers=tuple(sorted(state.sold.buyer_to_item)),
+            demands=tuple(map(self._d_cell.__getitem__, map(state.demands.get, self._buyers))),
+            sold_items=tuple(sorted(state.sold.item_to_buyer)),
             lottery=lottery,
         )
 
@@ -521,9 +490,9 @@ def complete_run(economy: Economy, state: MechanismState) -> Allocation:
     """
     completion = rm(state.demands, state.sold, state.prices, economy.lower_bounds)
     final = Matching(state.sold.pairs() + completion.pairs())
-    for i, d in state.demands.items():
-        if DUMMY not in d and not final.covers_buyer(i):
-            raise RuntimeError(f"completion left demander {i} unserved")  # unreachable
+    stray = unserved(state.demands, final)
+    if stray is not None:
+        raise RuntimeError(f"completion left demander {stray} unserved")  # unreachable
     return matching_to_allocation(final, economy.n_buyers)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .errors import DummyInSet, EquilibriumExists
-from .matching import Matching, max_matching
+from .matching import Matching, max_matching, unserved
 from .model import DUMMY
 
 
@@ -58,19 +58,15 @@ def grow_over_demanded(
     path), so the fixed point has as many holders as items, plus the
     unmatched seed demanding inside it: over-demanded.
     """
-    seed = min(
-        (i for i, d in demands.items() if DUMMY not in d and not matching.covers_buyer(i)),
-        default=None,
-    )
+    seed = unserved(demands, matching)
     if seed is None:
         raise EquilibriumExists("every demander is matched; no over-demanded set")
 
+    holder_of = matching.item_to_buyer
     grown: set[int] = set()
     frontier = set(demands[seed])
     while frontier:
-        holders = {
-            matching.item_to_buyer[a] for a in frontier if matching.covers_item(a)
-        }
+        holders = {holder_of[a] for a in frontier if a in holder_of}
         grown |= frontier
         frontier = set()
         for j in holders:

@@ -311,6 +311,9 @@ def test_unreadable_files_exit_one(capsys, tmp_path, data_dir):
     code, _, err = run_cli(capsys, "expect", str(binary))
     assert code == 1 and "NotUTF8: " in err and "not UTF-8" in err
 
+    code, _, err = run_cli(capsys, "run", "a\x00b")
+    assert code == 1 and err.startswith("UnreadableFile: cannot read") and "null byte" in err
+
     missing = str(tmp_path / "nope.json")
     code, _, err = run_cli(capsys, "run", missing)
     assert code == 1 and err.startswith(f"FileNotFound: no such file: {missing}")

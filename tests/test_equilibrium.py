@@ -15,6 +15,7 @@ from rigidmarket import (
     enumerate_histories,
     indirect_utility,
     TreeSizeExceeded,
+    validate_economy,
 )
 
 from strategies import demand_situations, economies, markets
@@ -76,6 +77,13 @@ def test_structural_garbage_raises(market):
         check_cwe(market, (0, 5, 4, 4), rationing, allocation)
     with pytest.raises(ValueError):
         check_cwe(market, prices, rationing, Allocation((0, 3, 2, 1)))
+
+
+@pytest.mark.parametrize("row", [frozenset({0, 1, 7}), frozenset({0, -1})])
+def test_permission_row_naming_an_unknown_item_raises(row):
+    economy = validate_economy(("o", "a"), [(0, 3)], (0, 1), (0, 2))
+    with pytest.raises(ValueError, match="unknown item"):
+        check_cwe(economy, (0, 1), RationingSystem((row,)), Allocation((1,)))
 
 
 def test_brute_force_search_contested():

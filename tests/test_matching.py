@@ -14,6 +14,7 @@ from rigidmarket import (
     max_matching,
     maximum_matching,
 )
+from rigidmarket.matching import unserved
 
 from strategies import demand_situations
 
@@ -101,6 +102,16 @@ def test_matching_to_allocation(market):
     assert matching_to_allocation(Matching(), 3).assignment == (0, 0, 0)
 
 
+def test_unserved_is_the_lowest_unmatched_demander():
+    demands = {4: frozenset({1, 2}), 3: frozenset({1}), 2: frozenset({1}), 1: frozenset({0, 2})}
+    assert unserved(demands, Matching([(4, 2), (3, 1)])) == 2
+    assert unserved(demands, Matching([(4, 2), (2, 1)])) == 3
+    # buyer 1 is content with the dummy, so it is never the one left unserved
+    assert unserved(demands, Matching()) == 2
+    assert unserved({1: frozenset({0})}, Matching()) is None
+    assert unserved({}, Matching()) is None
+
+
 def test_equilibrium_allocation_exists():
     assert not equilibrium_allocation_exists(contested_situation())
     assert equilibrium_allocation_exists({1: frozenset({0, 3}), 2: frozenset({3})})
@@ -123,8 +134,8 @@ def test_augment_grows_and_keeps_matched_vertices(demands):
         if grown is current:
             break
         assert len(grown) == len(current) + 1
-        assert grown.matched_buyers() >= current.matched_buyers()
-        assert grown.matched_items() >= current.matched_items()
+        assert grown.buyer_to_item.keys() >= current.buyer_to_item.keys()
+        assert grown.item_to_buyer.keys() >= current.item_to_buyer.keys()
         current = grown
     # Berge: the fixed point admits no augmenting path, so it is maximum
     assert len(current) == brute_force_size(demands)

@@ -54,7 +54,7 @@ def full_refresh(economy, state):
     those items with ``forbid_many`` and reports again, until no report
     does.  Shares no code with ``refresh_demands``.
     """
-    sold = state.sold.matched_items()
+    sold = frozenset(state.sold.item_to_buyer)
     rationing = state.rationing
     reporting = unsold_buyers(economy, state)
     demands = {i: demand_set(economy, state.prices, rationing, i) for i in reporting}
@@ -405,14 +405,14 @@ def test_completion_sells_marked_up_items(market):
     completion = rm(demands, Matching([(2, 3)]), (0, 5, 4, 4, 7), (0, 5, 4, 1, 5))
     assert completion == Matching([(3, 2), (4, 1), (5, 4)])
     # d is priced above its floor, so it may not stay unsold
-    assert completion.covers_item(4)
+    assert 4 in completion.item_to_buyer
 
 
 def test_completion_contract_clauses():
     # nobody demands marked-up b except a buyer also happy with the dummy
     demands = {1: frozenset({0, 2}), 2: frozenset({1})}
     completion = rm(demands, Matching(), (0, 1, 5, 0), (0, 1, 2, 0))
-    assert completion.covers_item(2)
+    assert 2 in completion.item_to_buyer
     assert completion == Matching([(1, 2), (2, 1)])
 
     # vacuous third clause: nothing marked up, plain maximum matching
@@ -465,12 +465,12 @@ def test_completion_contracts_on_random_terminals(economy):
     demands = {i: state.demands[i] for i in unsold_buyers(economy, state)}
     completion = rm(demands, state.sold, state.prices, economy.lower_bounds)
     # disjointness from the sold matching
-    assert not completion.matched_buyers() & state.sold.matched_buyers()
-    assert not completion.matched_items() & state.sold.matched_items()
+    assert not completion.buyer_to_item.keys() & state.sold.buyer_to_item.keys()
+    assert not completion.item_to_buyer.keys() & state.sold.item_to_buyer.keys()
     # every marked-up unsold item is taken
     for a in economy.real_items:
-        if not state.sold.covers_item(a) and state.prices[a] > economy.lower_bounds[a]:
-            assert completion.covers_item(a)
+        if a not in state.sold.item_to_buyer and state.prices[a] > economy.lower_bounds[a]:
+            assert a in completion.item_to_buyer
     # the union serves every buyer something she demands
     for i, d in demands.items():
         item = completion.buyer_to_item.get(i, DUMMY)
@@ -536,14 +536,14 @@ def reference_row(economy, state, label, x_min, lottery):
             tuple(sorted(frozenset(range(economy.n_items)) - state.rationing.allowed[i - 1]))
             for i in economy.buyers
         ),
-        sold_buyers=tuple(sorted(state.sold.matched_buyers())),
+        sold_buyers=tuple(sorted(state.sold.buyer_to_item)),
         demands=tuple(
             None
-            if state.sold.covers_buyer(i)
+            if i in state.sold.buyer_to_item
             else tuple(sorted(state.demands.get(i, frozenset())))
             for i in economy.buyers
         ),
-        sold_items=tuple(sorted(state.sold.matched_items())),
+        sold_items=tuple(sorted(state.sold.item_to_buyer)),
         lottery=lottery,
     )
 
@@ -634,6 +634,21 @@ def test_json_lines_escape_item_names():
     assert lines[:-1] == [json.dumps(trace.row_dict(r)) for r in trace.rows]
     assert lines[-1] == json.dumps({"final": trace.final_dict()})
     assert '"say \\"hi\\""' in lines[0] and "caf\\u00e9" in lines[0]
+
+    # a hand-built trace whose cells are unsorted encodes as its row dicts do
+    unsorted = replace(trace, rows=tuple(
+        replace(
+            r,
+            x_min=r.x_min[::-1],
+            u_sets=tuple(u[::-1] for u in r.u_sets),
+            demands=tuple(None if d is None else d[::-1] for d in r.demands),
+            sold_items=r.sold_items[::-1],
+        )
+        for r in trace.rows
+    ))
+    assert any(len(d) > 1 for r in unsorted.rows for d in r.demands if d is not None)
+    assert unsorted.to_json_lines() == lines
+    assert lines[:-1] == [json.dumps(unsorted.row_dict(r)) for r in unsorted.rows]
 
 
 @settings(max_examples=50)
