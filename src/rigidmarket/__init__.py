@@ -10,7 +10,6 @@ rationals) and analyses strategic misreporting.
 from .errors import (
     DummyInSet,
     EconomyValidationError,
-    EquilibriumExists,
     InvalidMatching,
     NoEntrants,
     NotTwoBuyers,
@@ -77,8 +76,6 @@ from .expectation import (
     aggregate_histories,
     enumerate_histories,
     expected_values,
-    record_sale,
-    sold_matching_from_rationing,
 )
 from .strategy import (
     ContestDetails,

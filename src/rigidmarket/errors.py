@@ -23,10 +23,6 @@ class DummyInSet(ValueError):
     """An item set that must contain only real items includes the dummy."""
 
 
-class EquilibriumExists(ValueError):
-    """Over-demanded-set search was called on a situation that has none."""
-
-
 class UpperBoundViolation(ValueError):
     """A price increase would push some item past its upper bound."""
 

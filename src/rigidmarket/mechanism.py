@@ -42,14 +42,13 @@ from .overdemand import mods
 
 @dataclass(frozen=True)
 class LotteryEvent:
-    round: int
     item: int
     entrants: tuple[int, ...]
     winner: int
 
 
 class LotteryPolicy(Protocol):
-    def choose(self, round_t: int, item: int, entrants: Sequence[int]) -> int: ...
+    def choose(self, item: int, entrants: Sequence[int]) -> int: ...
 
 
 class SeededLottery:
@@ -62,7 +61,7 @@ class SeededLottery:
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
 
-    def choose(self, round_t, item, entrants):
+    def choose(self, item, entrants):
         return self._rng.choice(list(entrants))
 
 
@@ -81,9 +80,9 @@ class ScriptedLottery:
         self._next = 0
         self._item_names = item_names
 
-    def choose(self, round_t, item, entrants):
+    def choose(self, item, entrants):
         if self._next >= len(self._winners):
-            raise ScriptError(f"no scripted winner left for the draw at round {round_t}")
+            raise ScriptError(f"no scripted winner left for draw {self._next + 1}")
         winner = self._winners[self._next]
         self._next += 1
         if winner not in entrants:
@@ -112,7 +111,6 @@ class MechanismState:
     so that report is carried over as it stands.
     """
 
-    t: int
     prices: tuple[int, ...]
     sold: Matching
     rationing: RationingSystem
@@ -122,7 +120,6 @@ class MechanismState:
 
 def initial_state(economy: Economy) -> MechanismState:
     return MechanismState(
-        t=0,
         prices=economy.lower_bounds,
         sold=Matching(),
         rationing=RationingSystem.full(economy.n_buyers, economy.n_items),
@@ -164,14 +161,15 @@ def refresh_demands(economy: Economy, state: MechanismState) -> MechanismState:
             rows[i - 1] = row
     if rows is not None:
         rationing = RationingSystem(tuple(rows))
-    return MechanismState(state.t, prices, state.sold, rationing, state.active, demands)
+    return MechanismState(prices, state.sold, rationing, state.active, demands)
 
 
 def gate(economy: Economy, state: MechanismState):
     """The seller's decision for a settled round: (x_min, item, entrants).
 
-    ``(None, None, ())`` settles the run: every buyer in ``state.demands``
-    (the unsold ones) that insists on real items can be matched.
+    ``(None, None, ())`` settles the run: :func:`~rigidmarket.overdemand.mods`
+    finds no over-demanded set, so every buyer in ``state.demands`` (the
+    unsold ones) that insists on real items can be matched.
     ``(x_min, None, ())`` raises the prices of the minimal over-demanded
     set x_min, no member of which is at its cap.  Otherwise ``item`` is
     the lowest capped member of x_min and ``entrants``, ascending, are the
@@ -179,10 +177,9 @@ def gate(economy: Economy, state: MechanismState):
     A capped item with no entrant raises :class:`NoEntrants`.
     """
     demands = state.demands
-    matched = max_matching(demands)
-    if unserved(demands, matched) is None:
+    x_min = mods(demands)
+    if not x_min:
         return None, None, ()
-    x_min = mods(demands, matched)
     caps = economy.upper_bounds
     item = min((a for a in x_min if state.prices[a] == caps[a]), default=None)
     if item is None:
@@ -213,7 +210,7 @@ def price_increase_step(
             raise UpperBoundViolation(f"item {a} is already at its upper bound")
     prices = tuple(p + 1 if a in x_min else p for a, p in enumerate(state.prices))
     active = frozenset(i for i, d in state.demands.items() if not x_min.isdisjoint(d))
-    return MechanismState(state.t + 1, prices, state.sold, state.rationing, active, state.demands)
+    return MechanismState(prices, state.sold, state.rationing, active, state.demands)
 
 
 def apply_sale(state: MechanismState, item: int, winner: int) -> MechanismState:
@@ -228,7 +225,7 @@ def apply_sale(state: MechanismState, item: int, winner: int) -> MechanismState:
     sold = Matching(state.sold.pairs() + ((winner, item),))
     demands = {i: d for i, d in state.demands.items() if i != winner}
     active = frozenset(i for i, d in demands.items() if item in d)
-    return MechanismState(state.t + 1, state.prices, sold, state.rationing, active, demands)
+    return MechanismState(state.prices, sold, state.rationing, active, demands)
 
 
 def lottery_step(
@@ -243,8 +240,8 @@ def lottery_step(
     here: they discover the sale next round and strike the item then,
     exactly as with any other sold item.
     """
-    winner = policy.choose(state.t, item, entrants)
-    event = LotteryEvent(round=state.t, item=item, entrants=entrants, winner=winner)
+    winner = policy.choose(item, entrants)
+    event = LotteryEvent(item=item, entrants=entrants, winner=winner)
     return apply_sale(state, item, winner), event
 
 
@@ -512,10 +509,10 @@ def run_mapr(economy: Economy, policy: Optional[LotteryPolicy] = None) -> MaprOu
     branch: list[str] = []
 
     max_rounds = economy.bound_spread() + economy.n_items + 1
-    for _ in range(max_rounds):
+    for t in range(max_rounds):
         state = refresh_demands(economy, state)
         x_min, item, entrants = gate(economy, state)
-        label = ".".join([str(state.t)] + branch)
+        label = ".".join([str(t)] + branch)
         if x_min is None:
             rows.append(row(state, label, (), None))
             break

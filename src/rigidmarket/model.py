@@ -102,6 +102,8 @@ class RationingSystem:
         return self.forbid_many(buyer, (item,))
 
     def forbid_many(self, buyer: int, items: Iterable[int]) -> "RationingSystem":
+        if not (_is_int(buyer) and 1 <= buyer <= len(self.allowed)):
+            raise ValueError(f"UnknownBuyer: no buyer {buyer!r} among 1..{len(self.allowed)}")
         items = frozenset(items)
         if DUMMY in items:
             raise ValueError("cannot forbid the dummy item")

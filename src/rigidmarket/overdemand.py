@@ -2,9 +2,11 @@
 
 A set of real items is over-demanded when strictly more buyers demand
 only items inside it than the set has items; such a set exists exactly
-when no equilibrium allocation does.  ``mods`` first grows a witness set
+when no equilibrium allocation does.  ``mods`` answers that question on
+its own: it builds the canonical maximum matching, grows a witness set
 from an unserved buyer by alternating between demanded items and their
 current holders, then filters it down to a minimal over-demanded set.
+It returns the empty set when every demander is served.
 
 Demand sets come as a mapping from buyer to demand set.  Both stages
 follow fixed orders (lowest unmatched buyer as seed, items scanned in
@@ -14,10 +16,10 @@ demand sets, whatever the mapping's order.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
-from .errors import DummyInSet, EquilibriumExists
-from .matching import Matching, max_matching, unserved
+from .errors import DummyInSet
+from .matching import max_matching, unserved
 from .model import DUMMY
 
 
@@ -43,14 +45,13 @@ def is_not_under_demanded(demands: Mapping[int, frozenset[int]], items: Iterable
 
 
 def grow_over_demanded(
-    demands: Mapping[int, frozenset[int]], matching: Matching
-) -> tuple[frozenset[int], int]:
+    demands: Mapping[int, frozenset[int]]
+) -> tuple[frozenset[int], Optional[int]]:
     """Grow an over-demanded set from the lowest-id unserved buyer.
 
-    ``matching`` must be a maximum matching that leaves some demander
-    unmatched; otherwise no over-demanded set exists and
-    :class:`EquilibriumExists` is raised.  Returns the grown set and the
-    seed buyer.
+    Returns the grown set and the seed buyer, unserved by the canonical
+    maximum matching of ``demands``, or ``(frozenset(), None)`` when that
+    matching serves every demander and so no over-demanded set exists.
 
     Starting from the seed's demand, repeatedly add the demands of the
     buyers currently holding the newly reached items.  Every reached item
@@ -58,9 +59,10 @@ def grow_over_demanded(
     path), so the fixed point has as many holders as items, plus the
     unmatched seed demanding inside it: over-demanded.
     """
+    matching = max_matching(demands)
     seed = unserved(demands, matching)
     if seed is None:
-        raise EquilibriumExists("every demander is matched; no over-demanded set")
+        return frozenset(), None
 
     holder_of = matching.item_to_buyer
     grown: set[int] = set()
@@ -75,14 +77,15 @@ def grow_over_demanded(
     return frozenset(grown), seed
 
 
-def mods(demands: Mapping[int, frozenset[int]], matching: Matching) -> frozenset[int]:
-    """A minimal over-demanded set of the demand sets.
+def mods(demands: Mapping[int, frozenset[int]]) -> frozenset[int]:
+    """A minimal over-demanded set of the demand sets, or the empty set if none.
 
+    The answer is empty exactly when an equilibrium allocation exists.
     Filters the grown set one item at a time, in ascending item index:
     an item is kept exactly when dropping it would let all buyers
     confined to the remaining candidate set be matched inside it.
     """
-    grown, _ = grow_over_demanded(demands, matching)
+    grown, _ = grow_over_demanded(demands)
     x_min: set[int] = set()
     rest = set(grown)
     for a in sorted(grown):

@@ -252,7 +252,6 @@ def optimal_strategy_search(
     problem: ManipulationProblem,
     cap: Optional[int] = None,
     node_limit: int = DEFAULT_NODE_LIMIT,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> SearchResult:
     """Best strategy over all integer value vectors in ``[0, cap]`` per item.
 
@@ -263,13 +262,13 @@ def optimal_strategy_search(
     the trie has not met, since rows with one transcript play one walk
     and score one profit.  Ties break toward the truthful strategy when
     it attains the maximum, otherwise toward the lexicographically
-    smallest vector.  A ``cap`` that is not an integer (a ``bool``
-    included) or is negative is a ``ValueError``, and so is a
-    ``node_limit`` or ``enumeration_limit`` that is not an integer.
+    smallest vector.  A box of more than ``DEFAULT_ENUMERATION_LIMIT``
+    vectors is a :class:`SizeGuard`.  A ``cap`` that is not an integer (a
+    ``bool`` included) or is negative is a ``ValueError``, and so is a
+    ``node_limit`` that is not an integer.
     """
     economy = problem.economy
     _check_limit("node_limit", node_limit)
-    _check_limit("enumeration_limit", enumeration_limit)
     if cap is None:
         cap = default_value_cap(problem)
     if not _is_int(cap):
@@ -278,9 +277,9 @@ def optimal_strategy_search(
         raise ValueError(f"the value cap must be non-negative, got {cap}")
     m = economy.n_items - 1
     total = (cap + 1) ** m
-    if total > enumeration_limit:
+    if total > DEFAULT_ENUMERATION_LIMIT:
         raise SizeGuard(
-            f"{total} strategies exceed the enumeration limit {enumeration_limit}"
+            f"{total} strategies exceed the enumeration limit {DEFAULT_ENUMERATION_LIMIT}"
         )
 
     manipulator = problem.manipulator

@@ -98,9 +98,9 @@ def test_criterion_02_matching_and_minimal_set():
     situation = demand_situation(market, (0, 5, 4, 3, 5), RationingSystem.full(5, 5))
     matched = max_matching(situation)
     assert len(matched) == 3
-    grown, _ = grow_over_demanded(situation, matched)
+    grown, _ = grow_over_demanded(situation)
     assert grown == frozenset({3, 4})  # items c and d
-    assert mods(situation, matched) == frozenset({3})  # item c
+    assert mods(situation) == frozenset({3})  # item c
     _passed("criterion 2: matching size 3, grown set {c,d}, minimal set {c}")
 
 
@@ -300,9 +300,10 @@ def test_criterion_07_overdemand_oracle_equivalence(suite):
             exists = brute_force_equilibrium_allocation(situation) is not None
             has_overdemand = bool(over_demanded_sets(situation))
             assert has_overdemand == (not exists)
+            found = mods(situation)
+            assert bool(found) == has_overdemand
             if not exists:
                 contested += 1
-                found = mods(situation, max_matching(situation))
                 assert found in minimal_over_demanded_sets(situation)
     _passed(
         f"criterion 7: existence oracle and minimal-set membership agree on"

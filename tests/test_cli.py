@@ -493,6 +493,19 @@ def test_scripts_reject_a_negative_flag_as_usage(tmp_path, script, flag):
     assert "Traceback" not in done.stderr
 
 
+def test_code_line_counter_runs_from_another_directory(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "code_lines.py")],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    name, code, lines = done.stdout.splitlines()[-1].split()
+    assert name == "total" and 0 < int(code) < int(lines)
+
+
 def run_module(cwd, module, *argv):
     """``python -m module *argv`` in a subprocess, with ``src`` on the path; output as bytes."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

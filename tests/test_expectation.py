@@ -17,14 +17,13 @@ from rigidmarket import (
     indirect_utility,
     initial_state,
     price_increase_step,
-    record_sale,
     refresh_demands,
     run_mapr,
     ScriptedLottery,
-    sold_matching_from_rationing,
     validate_economy,
 )
 from rigidmarket.cli import main
+from rigidmarket.expectation import record_sale, sold_matching_from_rationing
 from rigidmarket.mechanism import apply_sale, gate
 
 from strategies import economies, make_economy
@@ -49,6 +48,34 @@ def test_expected_values_running_example(market):
     assert report.expected_price[1] == Fraction(5)
     assert report.tree_stats.leaves == 2
     assert report.tree_stats.probability_mass == Fraction(1)
+
+
+def test_equal_rows_can_expect_unequal_profits():
+    # buyers 1, 3 and 5 report one row, yet buyer 5 expects less: after
+    # buyer 1 wins a, {b} (buyers 2, 4) and {c} (buyers 3, 5) are both
+    # over-demanded and the search seeds from unserved buyer 4, so b rises
+    # first; after buyer 5 wins a, {c} is held by buyers 1 and 3 and the
+    # seed is buyer 3, so c rises first
+    same = (4, 1, 7, 6)
+    economy = make_economy(
+        [same, (4, 5, 7, 5), same, (4, 4, 0, 0), same], [0, 0, 2, 5], [1, 2, 5, 8]
+    )
+    report = expected_values(economy)
+    assert report.expected_profit == {
+        1: Fraction(23, 12),
+        2: Fraction(31, 18),
+        3: Fraction(23, 12),
+        4: Fraction(1),
+        5: Fraction(11, 6),
+    }
+    assert report.expected_price == {
+        0: Fraction(0), 1: Fraction(1), 2: Fraction(2), 3: Fraction(5), 4: Fraction(46, 9)
+    }
+    assert (report.tree_stats.nodes, report.tree_stats.leaves) == (36, 14)
+    assert aggregate_histories(economy, enumerate_histories(economy)) == (
+        report.expected_profit,
+        report.expected_price,
+    )
 
 
 def test_no_contention_root_is_terminal():

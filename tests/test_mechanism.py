@@ -34,6 +34,7 @@ from rigidmarket.mechanism import (
     complete_run,
     gate,
 )
+from rigidmarket.matching import unserved
 
 from strategies import economies, make_economy
 
@@ -88,13 +89,11 @@ def test_price_increase_step(market):
     state = settled(market, initial_state(market))
     bumped = price_increase_step(market, state, frozenset({3}))
     assert bumped.prices == (0, 5, 4, 2, 5)
-    assert bumped.t == 1
     assert bumped.sold == state.sold
     # only the buyers demanding the raised item c report again
     assert bumped.active == frozenset({1, 2, 3})
 
     capped = MechanismState(
-        t=3,
         prices=(0, 5, 4, 4, 5),
         sold=Matching(),
         rationing=state.rationing,
@@ -117,7 +116,7 @@ def test_lottery_step_entrants_and_determinism(market, monkeypatch):
     assert item == 3 and entrants == (2, 3)
 
     next_state, event = lottery_step(state, 3, entrants, ScriptedLottery([2]))
-    assert event.entrants == (2, 3) and event.winner == 2 and event.round == 3
+    assert event.entrants == (2, 3) and event.winner == 2
     assert next_state.sold.pairs() == ((2, 3),)
     assert next_state.prices == state.prices
     # buyer 3 lost the draw for c and must re-report; nobody else demanded c
@@ -130,7 +129,6 @@ def test_lottery_step_entrants_and_determinism(market, monkeypatch):
     assert len(picks) == 1
 
     lone = MechanismState(
-        t=0,
         prices=state.prices,
         sold=state.sold,
         rationing=state.rationing,
@@ -142,14 +140,13 @@ def test_lottery_step_entrants_and_determinism(market, monkeypatch):
 
     # c is capped; if the over-demanded set were {c}, nobody would draw
     empty = MechanismState(
-        t=0,
         prices=state.prices,
         sold=state.sold,
         rationing=state.rationing,
         active=state.active,
         demands={4: frozenset({1}), 5: frozenset({1})},
     )
-    monkeypatch.setattr("rigidmarket.mechanism.mods", lambda demands, matched: frozenset({3}))
+    monkeypatch.setattr("rigidmarket.mechanism.mods", lambda demands: frozenset({3}))
     with pytest.raises(NoEntrants):
         gate(market, empty)
     # the tree walk reaches the same round once c is sold and every gate
@@ -173,7 +170,6 @@ def test_gate_draws_the_lowest_capped_member_among_confined_buyers():
 def test_refresh_strikes_sold_items(market):
     # after c is sold to buyer 2, buyer 3 must re-report and land on d
     state = MechanismState(
-        t=4,
         prices=(0, 5, 4, 4, 5),
         sold=Matching([(2, 3)]),
         rationing=RationingSystem.full(5, 5),
@@ -196,7 +192,6 @@ def test_refresh_without_sales_is_stationary(market):
 def test_refresh_chains_through_two_sold_items():
     economy = make_economy([[9, 8, 1], [9, 0, 0], [0, 8, 0]], [1, 1, 1], [2, 2, 2])
     state = MechanismState(
-        t=1,
         prices=(0, 1, 1, 1),
         sold=Matching([(2, 1), (3, 2)]),
         rationing=RationingSystem.full(3, 4),
@@ -212,7 +207,6 @@ def test_refresh_chains_through_two_sold_items():
 def test_refresh_strikes_only_the_sold_members_of_a_tie():
     economy = make_economy([[5, 5, 1], [9, 0, 0]], [1, 1, 1], [2, 2, 2])
     state = MechanismState(
-        t=1,
         prices=(0, 1, 1, 1),
         sold=Matching([(2, 1)]),
         rationing=RationingSystem.full(2, 4),
@@ -229,7 +223,6 @@ def test_refresh_stops_at_the_dummy_when_every_real_item_is_sold():
     economy = make_economy([[9, 8, 0], [9, 0, 0], [0, 8, 0], [0, 0, 5]], [1, 1, 1], [2, 2, 2])
     rationing = RationingSystem.full(4, 4)
     state = MechanismState(
-        t=1,
         prices=(0, 1, 1, 1),
         sold=Matching([(2, 1), (3, 2), (4, 3)]),
         rationing=rationing,
@@ -288,7 +281,7 @@ def refresh_states(draw):
     items = draw(st.permutations(list(economy.real_items)))
     n_sold = draw(st.integers(0, min(len(buyers), len(items))))
     sold = Matching(zip(buyers[:n_sold], items[:n_sold]))
-    state = MechanismState(1, prices, sold, rationing, frozenset(), {})
+    state = MechanismState(prices, sold, rationing, frozenset(), {})
     plain = full_refresh(economy, state)
     unsold = unsold_buyers(economy, state)
     active = frozenset(draw(st.sets(st.sampled_from(unsold)))) if unsold else frozenset()
@@ -305,7 +298,7 @@ def refresh_states(draw):
         elif kind == "settled":
             demands[i] = plain.demands[i]
     rationing = RationingSystem(tuple(rows))
-    return economy, MechanismState(1, prices, sold, rationing, active, demands)
+    return economy, MechanismState(prices, sold, rationing, active, demands)
 
 
 @settings(max_examples=200)
@@ -378,7 +371,7 @@ def test_no_contention_settles_at_opening_prices():
 
 def test_script_errors():
     economy = make_economy([[5], [5]], [1], [3])
-    with pytest.raises(ScriptError):
+    with pytest.raises(ScriptError, match="no scripted winner left for draw 1$"):
         run_mapr(economy, ScriptedLottery([]))
     with pytest.raises(ScriptError):
         run_mapr(economy, ScriptedLottery([7]))
@@ -559,7 +552,7 @@ def assert_matches_full_refresh(economy, seed):
     ref_policy, inc_policy = SeededLottery(seed), SeededLottery(seed)
     ref = inc = initial_state(economy)
     rows, branch = [], []
-    for _ in range(economy.bound_spread() + economy.n_items + 1):
+    for t in range(economy.bound_spread() + economy.n_items + 1):
         ref = full_refresh(economy, ref)
         inc = refresh_demands(economy, inc)
         x_min, item, entrants = gate(economy, ref)
@@ -568,7 +561,7 @@ def assert_matches_full_refresh(economy, seed):
         assert inc.rationing == ref.rationing
         assert inc.prices == ref.prices
         assert inc.sold == ref.sold
-        label = ".".join([str(ref.t)] + branch)
+        label = ".".join([str(t)] + branch)
         if x_min is None:
             rows.append(reference_row(economy, ref, label, (), None))
             break
@@ -608,6 +601,20 @@ def wide_economy(seed, n, m, room):
     upper = [a + rng.randint(0, room) for a in lower]
     names = ("o", *(f"i{k}" for k in range(1, m + 1)))
     return validate_economy(names, rows, (0, *lower), (0, *upper))
+
+
+def test_each_round_asks_unserved_once(monkeypatch):
+    # one call per round, inside mods, plus complete_run's guard
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return unserved(*args)
+
+    monkeypatch.setattr("rigidmarket.overdemand.unserved", counted)
+    monkeypatch.setattr("rigidmarket.mechanism.unserved", counted)
+    trace = run_mapr(wide_economy(3, 40, 20, 40), SeededLottery(3)).trace
+    assert len(calls) == len(trace.rows) + 1
 
 
 @settings(max_examples=60)

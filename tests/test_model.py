@@ -65,6 +65,13 @@ def test_rationing_must_allow_dummy():
         RationingSystem.full(2, 3).forbid(1, DUMMY)
 
 
+@pytest.mark.parametrize("buyer", [0, -1, 4, 1.0, True])
+def test_forbid_rejects_a_buyer_outside_one_to_n(buyer):
+    # 0 and -1 once wrapped round to the last buyers and True read as buyer 1
+    with pytest.raises(ValueError, match=f"^UnknownBuyer: no buyer {buyer!r} among 1..3$"):
+        RationingSystem.full(3, 4).forbid(buyer, 2)
+
+
 def test_indirect_utility_running_example(market):
     prices = (0, 5, 4, 4, 7)
     rationing = RationingSystem.full(5, 5).forbid(3, 3).forbid(1, 3)

@@ -5,7 +5,6 @@ from hypothesis import given
 
 from rigidmarket import (
     DummyInSet,
-    EquilibriumExists,
     equilibrium_allocation_exists,
     grow_over_demanded,
     is_not_under_demanded,
@@ -55,69 +54,68 @@ def test_dummy_rejected_in_item_sets():
 
 def test_growth_on_running_demands():
     situation = contested_situation()
-    grown, seed = grow_over_demanded(situation, max_matching(situation))
+    grown, seed = grow_over_demanded(situation)
     assert grown == frozenset({3, 4})
     assert seed == 2
     assert is_over_demanded(situation, grown)
     reverse = descending(situation)
-    assert grow_over_demanded(reverse, max_matching(reverse)) == (grown, seed)
+    assert grow_over_demanded(reverse) == (grown, seed)
 
 
 def test_growth_single_item_contention():
     situation = {1: frozenset({1}), 2: frozenset({1})}
-    grown, seed = grow_over_demanded(situation, max_matching(situation))
+    grown, seed = grow_over_demanded(situation)
     assert grown == frozenset({1})
     assert seed == 2
 
 
 def test_minimal_set_on_running_demands():
     situation = contested_situation()
-    matched = max_matching(situation)
-    grown, seed = grow_over_demanded(situation, matched)
-    minimal = mods(situation, matched)
+    grown, seed = grow_over_demanded(situation)
+    minimal = mods(situation)
     assert grown == frozenset({3, 4})
     assert minimal == frozenset({3})
     assert seed == 2
     reverse = descending(situation)
-    assert mods(reverse, max_matching(reverse)) == minimal
+    assert mods(reverse) == minimal
 
 
 def test_minimal_set_singleton_contention():
     situation = {1: frozenset({1}), 2: frozenset({1})}
-    assert mods(situation, max_matching(situation)) == frozenset({1})
+    assert mods(situation) == frozenset({1})
 
 
-def test_precondition_guard():
+def test_no_over_demanded_set_is_empty():
     situation = {1: frozenset({1}), 2: frozenset({2})}
-    with pytest.raises(EquilibriumExists):
-        mods(situation, max_matching(situation))
+    assert grow_over_demanded(situation) == (frozenset(), None)
+    assert mods(situation) == frozenset()
 
 
 @given(demand_situations())
 def test_existence_equivalence_and_minimality(situation):
-    matched = max_matching(situation)
     exists = equilibrium_allocation_exists(situation)
     all_sets = over_demanded_sets(situation)
     assert bool(all_sets) == (not exists)
+    assert bool(mods(situation)) == (not exists)
     if exists:
         return
-    grown, seed = grow_over_demanded(situation, matched)
+    grown, seed = grow_over_demanded(situation)
     assert is_over_demanded(situation, grown)
-    minimal = mods(situation, matched)
+    minimal = mods(situation)
     assert minimal in minimal_over_demanded_sets(situation)
     # repeated runs land on the same set
-    assert mods(situation, max_matching(situation)) == minimal
+    assert mods(situation) == minimal
     # and so does the same family inserted in descending buyer order
     reverse = descending(situation)
-    assert grow_over_demanded(reverse, max_matching(reverse)) == (grown, seed)
-    assert mods(reverse, max_matching(reverse)) == minimal
+    assert grow_over_demanded(reverse) == (grown, seed)
+    assert mods(reverse) == minimal
 
 
 @given(demand_situations())
 def test_minimal_set_subsets_are_heavily_demanded(situation):
     if equilibrium_allocation_exists(situation):
         return
-    minimal = mods(situation, max_matching(situation))
+    minimal = mods(situation)
     inside = [d for d in situation.values() if d <= minimal]
     for size in range(1, len(minimal) + 1):
         for combo in combinations(sorted(minimal), size):

@@ -315,9 +315,7 @@ def test_search_single_buyer_trivially_truthful():
 
 def test_search_size_guard(market):
     with pytest.raises(SizeGuard):
-        optimal_strategy_search(
-            ManipulationProblem(market, 1), cap=100, enumeration_limit=10**4
-        )
+        optimal_strategy_search(ManipulationProblem(market, 1), cap=100)
 
 
 @pytest.mark.parametrize(
@@ -338,7 +336,6 @@ def test_size_limits_must_be_integers(market, limit):
         lambda: expected_values(market, node_limit=limit),
         lambda: expected_profit_under_strategy(problem, truthful, node_limit=limit),
         lambda: optimal_strategy_search(problem, cap=1, node_limit=limit),
-        lambda: optimal_strategy_search(problem, cap=1, enumeration_limit=limit),
         lambda: enumerate_histories(market, max_leaves=limit),
     ]
     for call in calls:
