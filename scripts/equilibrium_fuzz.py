@@ -2,8 +2,10 @@
 """Fuzz the mechanism: every history of random economies must end in equilibrium.
 
 Samples random economies, walks every lottery path, and checks each
-terminal tuple against the five equilibrium conditions.  Prints a
-summary (and any counterexample immediately).
+terminal tuple against the five equilibrium conditions.  For each
+economy it enumerates, it also checks that ``expected_values`` equals the
+probability-weighted sum of the histories and counts as many leaves.
+Prints a summary (and any counterexample immediately).
 
 Usage: python scripts/equilibrium_fuzz.py [--count 500] [--seed 0]
 """
@@ -15,7 +17,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rigidmarket import TreeSizeExceeded, check_cwe, enumerate_histories  # noqa: E402
+from rigidmarket import (  # noqa: E402
+    TreeSizeExceeded, aggregate_histories, check_cwe, enumerate_histories, expected_values,
+)
 from random_market import int_at_least, random_economy  # noqa: E402
 
 
@@ -29,6 +33,7 @@ def main():
     rng = random.Random(args.seed)
     histories = 0
     skipped = 0
+    compared = 0
     for k in range(args.count):
         n = rng.randint(1, 5)
         m = rng.randint(1, 4)
@@ -47,8 +52,16 @@ def main():
                 print(f"  winners: {leaf.winners}")
                 return 1
         histories += len(leaves)
+        report = expected_values(economy)
+        walked = (report.expected_profit, report.expected_price)
+        if walked != aggregate_histories(economy, leaves) or report.tree_stats.leaves != len(leaves):
+            print(f"EXPECTATION MISMATCH at instance {k}: the tree walk and the histories differ")
+            print(f"  valuations: {[list(r[1:]) for r in economy.valuations]}")
+            print(f"  bounds: {list(economy.lower_bounds[1:])} .. {list(economy.upper_bounds[1:])}")
+            return 1
+        compared += 1
     print(f"{args.count - skipped} economies, {histories} histories, all equilibria"
-          f" ({skipped} skipped as too branchy)")
+          f" ({skipped} skipped as too branchy); expected values agree on {compared} economies")
     return 0
 
 

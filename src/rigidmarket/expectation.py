@@ -19,25 +19,44 @@ an explicit stack, depth first with the entrants in ascending order, so
 a tree of any depth stays within Python's recursion limit and only the
 node and leaf limits bound it.
 
+:func:`expected_values` walks each residual market once.  Strikes only
+ever remove sold items, so an unsold buyer's permission row less the
+sold items is always the set of unsold items, and its settled demand
+depends only on the prices and the sold item set.  So does everything
+the rest of a history does, once each lottery winner's profit (value
+less cap) is credited at its sale: the subtree below a round is fixed
+by (prices, sold item set, sold buyer set), whoever holds which item.
+The walk keeps each subtree's value under that key, with its node and
+leaf counts, and reads a repeated residual market back instead of
+walking it again.  It also hands :func:`refresh_demands` a per-walk
+answer map, so a buyer's settlement at the same prices, sold items and
+permission row is computed once.  A leaf scores each unsold buyer from
+its settled demand: value less price of any item in it.  The strategy
+walks take neither the memo nor the answer map: their ``early`` callback
+records the manipulator's queries at every state where she reports, in
+walk order, which a memo hit would skip.
+
 The routes differ only in how leaves are scored, so their agreement,
-which the tests check in aggregate and leaf count, checks the scoring.
-The incremental demand refresh they share is checked by
-the full-refresh oracle ``assert_matches_full_refresh`` in
-``tests/test_mechanism.py``, where every unsold buyer reports every
-round.
+which the tests check in aggregate and leaf count, checks the scoring
+and the memo.  :func:`enumerate_histories` keeps the uncached refresh,
+which the full-refresh oracle ``assert_matches_full_refresh`` in
+``tests/test_mechanism.py`` checks, where every unsold buyer reports
+every round.
 
 All arithmetic is exact.  A leaf's probability is ``1/d``, where ``d``
 is the product of the entrant counts of the lotteries on its path, so
 :func:`expected_values` sums the integer payoffs of the leaves that
-share a ``d`` and builds one :class:`fractions.Fraction` per column and
-distinct ``d`` at the end; :func:`enumerate_histories` carries each
-history's probability as a ``Fraction``.
+share a ``d``, brings the sums to one common denominator and builds one
+:class:`fractions.Fraction` per column at the end;
+:func:`enumerate_histories` carries each history's probability as a
+``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import TreeSizeExceeded
@@ -51,7 +70,7 @@ from .mechanism import (
     price_increase_step,
     refresh_demands,
 )
-from .model import Allocation, Economy, RationingSystem, _is_int, indirect_utility
+from .model import Allocation, Economy, RationingSystem, _is_int
 
 DEFAULT_NODE_LIMIT = 1_000_000
 
@@ -108,59 +127,131 @@ class ExpectationReport:
 def _walk_lottery_tree(
     economy: Economy,
     node_limit: int,
-    payoff: Callable[[MechanismState], tuple[int, ...]],
-    early: Optional[Callable[[MechanismState], Optional[tuple[int, ...]]]] = None,
+    payoff: Callable[[MechanismState], Sequence[int]],
+    early: Optional[Callable[[MechanismState], Optional[Sequence[int]]]] = None,
+    credit: Optional[Callable[[int, int], Sequence[int]]] = None,
 ) -> tuple[tuple[Fraction, ...], int, int]:
     """Expected ``payoff`` over the mechanism's lottery tree: (value, nodes, leaves).
 
-    A node is one round: a :class:`MechanismState` popped from a stack
-    with its path denominator, the product of the entrant counts of the
-    lotteries above it, so the node's probability is one over it.
+    A node is one round: a :class:`MechanismState` popped from a stack.
     ``early(state)``, when given, may fix a node's value before its round
     is played.  Otherwise :func:`refresh_demands` settles the reports,
-    :func:`gate` decides the round, and a settled node is worth
+    :func:`gate` decides the round, and a settled node is a leaf worth
     ``payoff`` of its state.  A raise pushes one
-    :func:`price_increase_step` child with the same denominator, so every
-    round is a node, and the walk stops at the first node past
-    ``node_limit``.  A lottery node pushes one :func:`apply_sale` child
-    per entrant, each with the denominator times the entrant count.  The
-    value is the probability-weighted sum of the leaves.  Payoffs are
-    integers, so a leaf's payoff is added, as integers, to the sums kept
-    for its denominator, and one :class:`Fraction` ``sum / denominator``
-    per column and distinct denominator is built at the end: the value is
-    exact.  :func:`enumerate_histories` shares the refresh, so the
-    full-refresh oracle of ``tests/test_mechanism.py`` is what checks it.
+    :func:`price_increase_step` child, so every round is a node, and the
+    walk stops at the first node past ``node_limit``.  A lottery node
+    pushes one :func:`apply_sale` child per entrant, each reached with
+    probability one over the entrant count; ``credit(item, winner)``,
+    when given, is added to the node's value at that probability, so a
+    payoff may leave out the buyers sold on the way to the leaf.
+
+    A subtree's value is kept relative to its root, as one integer sum
+    vector per denominator: its leaves' payoffs and credits, each leaf's
+    probability below the root being one over its denominator.  A leaf is
+    ``{1: payoff}``.  A raise node has its child's value.  A lottery
+    node's value takes each child's sums with the denominators multiplied
+    by the entrant count, plus the child's credit under the entrant
+    count.  The walk is post-order on the explicit stack: a lottery node
+    leaves a close entry under its children and gets its value when that
+    entry is popped.  At the end the root's sums are brought to the least
+    common denominator and one :class:`Fraction` per column is built, so
+    the value is exact.
+
+    Without ``early`` the walk does each piece of work once:
+
+    * it passes a per-walk answer map to :func:`refresh_demands`, so a
+      buyer's settlement at the same prices, sold items and permission
+      row is computed once; the map gains at most one key per node;
+    * it keeps a memo of subtree values, counts included, keyed on the
+      node's prices, sold item set and sold buyer set before its refresh.
+      Strikes only remove sold items, so every unsold buyer's permission
+      row less the sold items is the set of unsold items, and its settled
+      demand depends on the prices and the sold items alone.  Every later
+      round reads only those demands and prices, so the key fixes the
+      subtree.  Who holds which sold item does not enter it, which is
+      why the payoff must score only the unsold buyers and the prices and
+      leave each sale to ``credit``.  A hit adds the stored node and leaf
+      counts; a node limit first crossed inside a hit reports
+      ``node_limit + 1`` nodes, as the full walk would.  The memo holds at
+      most one entry per node walked.
+
+    With ``early`` (the strategy walks) the walk takes neither: ``early``
+    must see every state, in walk order.  :func:`enumerate_histories`
+    keeps the uncached refresh, so it and the full-refresh oracle of
+    ``tests/test_mechanism.py`` check this walk independently.
     """
+    memo = answers = None
+    if early is None:
+        memo, answers = {}, {}
     nodes = leaves = 0
-    sums: dict[int, Sequence[int]] = {}
-    stack = [(initial_state(economy), 1)]
+
+    def deliver(value, parent, scale, gain, chain):
+        """Store ``value`` for the pending keys of ``chain`` and add it to ``parent``."""
+        while chain is not None:
+            key, nodes_before, leaves_before, chain = chain
+            memo[key] = (value, nodes - nodes_before, leaves - leaves_before)
+        for denominator, column_sums in value.items():
+            denominator *= scale
+            previous = parent.get(denominator)
+            parent[denominator] = (
+                column_sums if previous is None else [p + v for p, v in zip(previous, column_sums)]
+            )
+        if gain is not None:
+            previous = parent.get(scale)
+            parent[scale] = gain if previous is None else [p + g for p, g in zip(previous, gain)]
+
+    total: dict[int, Sequence[int]] = {}
+    # (state, value, parent, scale, gain, chain): ``state`` is None on a
+    # lottery node's close entry, whose ``value`` is then complete.
+    # ``chain`` links the memo keys of the nodes awaiting this value.
+    stack = [(initial_state(economy), None, total, 1, None, None)]
     while stack:
-        state, denominator = stack.pop()
+        state, value, parent, scale, gain, chain = stack.pop()
+        if state is None:
+            deliver(value, parent, scale, gain, chain)
+            continue
         nodes += 1
         if nodes > node_limit:
             raise TreeSizeExceeded(f"lottery tree exceeded {node_limit} nodes", nodes=nodes)
+        if memo is not None:
+            sold = state.sold
+            key = (state.prices, frozenset(sold.item_to_buyer), frozenset(sold.buyer_to_item))
+            hit = memo.get(key)
+            if hit is not None:
+                value, subtree_nodes, subtree_leaves = hit
+                nodes += subtree_nodes - 1
+                if nodes > node_limit:
+                    raise TreeSizeExceeded(
+                        f"lottery tree exceeded {node_limit} nodes", nodes=node_limit + 1
+                    )
+                leaves += subtree_leaves
+                deliver(value, parent, scale, gain, chain)
+                continue
+            chain = (key, nodes - 1, leaves, chain)
         value = None if early is None else early(state)
         if value is None:
-            settled = refresh_demands(economy, state)
+            settled = refresh_demands(economy, state, answers)
             x_min, item, entrants = gate(economy, settled)
             if x_min is None:
                 value = payoff(settled)
             elif item is None:
-                stack.append((price_increase_step(economy, settled, x_min), denominator))
+                child = price_increase_step(economy, settled, x_min)
+                stack.append((child, None, parent, scale, gain, chain))
                 continue
             else:
-                child_denominator = denominator * len(entrants)
+                node_value: dict[int, Sequence[int]] = {}
+                stack.append((None, node_value, parent, scale, gain, chain))
+                entrant_count = len(entrants)
                 for winner in reversed(entrants):
-                    stack.append((apply_sale(settled, item, winner), child_denominator))
+                    child = apply_sale(settled, item, winner)
+                    child_gain = None if credit is None else credit(item, winner)
+                    stack.append((child, None, node_value, entrant_count, child_gain, None))
                 continue
         leaves += 1
-        previous = sums.get(denominator)
-        sums[denominator] = value if previous is None else [p + v for p, v in zip(previous, value)]
-    total = None
-    for denominator, column_sums in sums.items():
-        part = [Fraction(s, denominator) for s in column_sums]
-        total = part if total is None else [t + p for t, p in zip(total, part)]
-    return tuple(total), nodes, leaves
+        deliver({1: value}, parent, scale, gain, chain)
+    common = lcm(*total)
+    scaled = [[s * (common // d) for s in column_sums] for d, column_sums in total.items()]
+    return tuple(Fraction(sum(column), common) for column in zip(*scaled)), nodes, leaves
 
 
 def expected_values(
@@ -172,17 +263,31 @@ def expected_values(
     some history; :class:`TreeSizeExceeded` carries the count reached,
     ``node_limit + 1`` for a positive limit.  A ``node_limit`` that is not
     an integer is a ``ValueError``.
+
+    A lottery winner's profit, value less cap, is credited at its sale.
+    At a leaf an unsold buyer's profit is its best net benefit: value less
+    price of any one item of its settled demand.
     """
     _check_limit("node_limit", node_limit)
-
-    def payoff(state: MechanismState) -> tuple[int, ...]:
-        profits = tuple(
-            indirect_utility(economy, state.prices, state.rationing, i) for i in economy.buyers
-        )
-        return profits + state.prices + (1,)
-
-    value, nodes, leaves = _walk_lottery_tree(economy, node_limit, payoff)
     n = economy.n_buyers
+    valuations = economy.valuations
+    caps = economy.upper_bounds
+    width = n + economy.n_items + 1
+
+    def payoff(state: MechanismState) -> list[int]:
+        prices = state.prices
+        profits = [0] * n
+        for i, demand in state.demands.items():
+            a = next(iter(demand))
+            profits[i - 1] = valuations[i - 1][a] - prices[a]
+        return profits + list(prices) + [1]
+
+    def credit(item: int, winner: int) -> list[int]:
+        gain = [0] * width
+        gain[winner - 1] = valuations[winner - 1][item] - caps[item]
+        return gain
+
+    value, nodes, leaves = _walk_lottery_tree(economy, node_limit, payoff, credit=credit)
     mass = value[-1]
     if mass != 1:
         raise RuntimeError("leaf probabilities do not sum to one")  # unreachable

@@ -128,7 +128,9 @@ def initial_state(economy: Economy) -> MechanismState:
     )
 
 
-def refresh_demands(economy: Economy, state: MechanismState) -> MechanismState:
+def refresh_demands(
+    economy: Economy, state: MechanismState, answers: Optional[dict] = None
+) -> MechanismState:
     """Collect demand reports and strike sold items until none is demanded.
 
     Active buyers report at current prices; any of them demanding a sold
@@ -145,17 +147,35 @@ def refresh_demands(economy: Economy, state: MechanismState) -> MechanismState:
     permission row that loses no item stays the same object, so a round
     in which nobody strikes builds no :class:`RationingSystem`, and any
     other round builds one.
+
+    ``answers``, when given, is a map the caller keeps across the states
+    of one walk: under (prices, sold item set) it keeps each buyer's
+    ``settled_demand`` answer by (buyer, permission row), so a repeated
+    call is read back, not computed.  It gains at most one key per call.
     """
     demands = dict(state.demands)
     prices = state.prices
     rationing = state.rationing
     sold = state.sold.item_to_buyer
     valuations = economy.valuations
+    table = None
+    if answers is not None:
+        key = (prices, frozenset(sold))
+        table = answers.get(key)
+        if table is None:
+            table = answers[key] = _Memo(
+                lambda k: settled_demand(valuations[k[0] - 1], prices, k[1], sold)
+            )
     rows = None
     for i in sorted(state.active):
         allowed = rationing.allowed[i - 1]
-        row, demands[i] = settled_demand(valuations[i - 1], prices, allowed, sold)
-        if row is not allowed:
+        if table is None:
+            row, demands[i] = settled_demand(valuations[i - 1], prices, allowed, sold)
+        else:
+            row, demands[i] = table[i, allowed]
+        # a row is a subset of ``allowed``: an equal length means nothing
+        # was struck, though a read-back row is another state's object
+        if row is not allowed and len(row) != len(allowed):
             if rows is None:
                 rows = list(rationing.allowed)
             rows[i - 1] = row

@@ -59,6 +59,7 @@ class Economy:
         return range(1, self.n_items)
 
     def value(self, buyer: int, item: int) -> int:
+        _check_buyer(buyer, self.n_buyers)
         return self.valuations[buyer - 1][item]
 
     def item_index(self, name: str) -> int:
@@ -102,8 +103,7 @@ class RationingSystem:
         return self.forbid_many(buyer, (item,))
 
     def forbid_many(self, buyer: int, items: Iterable[int]) -> "RationingSystem":
-        if not (_is_int(buyer) and 1 <= buyer <= len(self.allowed)):
-            raise ValueError(f"UnknownBuyer: no buyer {buyer!r} among 1..{len(self.allowed)}")
+        _check_buyer(buyer, len(self.allowed))
         items = frozenset(items)
         if DUMMY in items:
             raise ValueError("cannot forbid the dummy item")
@@ -139,6 +139,7 @@ class Allocation:
             seen.add(item)
 
     def item_of(self, buyer: int) -> int:
+        _check_buyer(buyer, len(self.assignment))
         return self.assignment[buyer - 1]
 
     def assigned_items(self) -> frozenset[int]:
@@ -147,6 +148,12 @@ class Allocation:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_buyer(buyer, n_buyers: int) -> None:
+    """Buyers are the integers ``1..n_buyers``; any other id (a ``bool`` too) is a ``ValueError``."""
+    if not (_is_int(buyer) and 1 <= buyer <= n_buyers):
+        raise ValueError(f"UnknownBuyer: no buyer {buyer!r} among 1..{n_buyers}")
 
 
 def validate_economy(
@@ -271,12 +278,14 @@ def indirect_utility(economy, prices, rationing: RationingSystem, buyer: int) ->
 
     Never negative: the dummy is always allowed and always nets 0.
     """
+    _check_buyer(buyer, economy.n_buyers)
     row = economy.valuations[buyer - 1]
     return max(row[a] - prices[a] for a in rationing.allowed[buyer - 1])
 
 
 def demand_set(economy, prices, rationing: RationingSystem, buyer: int) -> frozenset[int]:
     """Allowed items attaining the buyer's best net benefit at these prices."""
+    _check_buyer(buyer, economy.n_buyers)
     row = economy.valuations[buyer - 1]
     allowed = rationing.allowed[buyer - 1]
     best = max(row[a] - prices[a] for a in allowed)

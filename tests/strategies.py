@@ -98,3 +98,20 @@ def demand_situations(draw, max_buyers=4, max_items=4):
         real = draw(st.sets(st.integers(1, m), min_size=min_real, max_size=m))
         demands[i] = frozenset(real | ({0} if with_dummy else set()))
     return demands
+
+
+@st.composite
+def repeated_row_economies(draw, max_real_items=3, max_value=8):
+    """Markets whose 2-5 buyers share 1-2 value rows, with cap room 0-1.
+
+    Draws come early and often, and equal rows make sibling lottery
+    subtrees meet the same residual market: the markets where the
+    expected-value walk's memo hits most.
+    """
+    m = draw(st.integers(1, max_real_items))
+    row = st.lists(st.integers(0, max_value), min_size=m, max_size=m)
+    types = draw(st.lists(row, min_size=1, max_size=2))
+    rows = draw(st.lists(st.sampled_from(types), min_size=2, max_size=5))
+    lower = draw(st.lists(st.integers(0, max_value), min_size=m, max_size=m))
+    upper = [p + draw(st.integers(0, 1)) for p in lower]
+    return make_economy(rows, lower, upper)

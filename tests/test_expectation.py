@@ -5,6 +5,7 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidmarket import (
     Matching,
@@ -26,7 +27,7 @@ from rigidmarket.cli import main
 from rigidmarket.expectation import record_sale, sold_matching_from_rationing
 from rigidmarket.mechanism import apply_sale, gate
 
-from strategies import economies, make_economy
+from strategies import economies, make_economy, repeated_row_economies
 
 
 def test_rationing_sale_roundtrip():
@@ -155,7 +156,7 @@ def assert_node_count_is_the_round_count(economy):
 
 
 @settings(max_examples=60)
-@given(economies())
+@given(st.one_of(economies(), repeated_row_economies()))
 def test_node_count_matches_live_rounds(economy):
     assert_node_count_is_the_round_count(economy)
 
@@ -178,7 +179,7 @@ def test_node_count_covers_a_long_stable_stretch(room):
 
 
 @settings(max_examples=60)
-@given(economies())
+@given(st.one_of(economies(), repeated_row_economies()))
 def test_recursion_agrees_with_history_aggregation(economy):
     report = expected_values(economy)
     leaves = enumerate_histories(economy)
@@ -187,6 +188,52 @@ def test_recursion_agrees_with_history_aggregation(economy):
     assert prices == report.expected_price
     assert sum(leaf.probability for leaf in leaves) == Fraction(1)
     assert report.tree_stats.leaves == len(leaves)
+
+
+def test_sibling_draws_reuse_one_residual_market(monkeypatch):
+    # buyers 1, 2 and 3 draw for a, then the two left draw for b; the
+    # draw for b after 1 wins a ends where the one after 2 wins a does,
+    # with a and b sold to buyers 1 and 2: three of the six leaves repeat
+    # a residual market, so only seven of the ten rounds are played
+    economy = make_economy([[5, 5]] * 3, [2, 2], [2, 2])
+    played = []
+
+    def counted(*args):
+        played.append(args)
+        return refresh_demands(*args)
+
+    monkeypatch.setattr("rigidmarket.expectation.refresh_demands", counted)
+    report = expected_values(economy)
+    assert report.expected_profit == {1: 2, 2: 2, 3: 2}
+    assert report.expected_price == {0: 0, 1: 2, 2: 2}
+    assert (report.tree_stats.nodes, report.tree_stats.leaves) == (10, 6)
+    assert len(played) == 10 - 3
+    assert aggregate_histories(economy, enumerate_histories(economy)) == (
+        report.expected_profit,
+        report.expected_price,
+    )
+
+
+@pytest.mark.parametrize(
+    "buyers, items",
+    [
+        # round 6 repeats the leaf at round 3 (a and b sold to buyers 1
+        # and 2): a limit of 5 is first crossed at a hit
+        (3, 2),
+        # rounds 13 to 15 repeat rounds 3 to 5 (a and b sold to buyers 1
+        # and 2, then a draw for c): limits 13 and 14 are first crossed
+        # inside a hit
+        (4, 3),
+    ],
+)
+def test_size_guard_counts_the_rounds_a_hit_stands_for(buyers, items):
+    economy = make_economy([[5] * items] * buyers, [2] * items, [2] * items)
+    nodes = live_round_count(economy)
+    assert expected_values(economy, node_limit=nodes).tree_stats.nodes == nodes
+    for limit in range(1, nodes):
+        with pytest.raises(TreeSizeExceeded) as exc:
+            expected_values(economy, node_limit=limit)
+        assert exc.value.nodes == limit + 1
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,7 @@ from rigidmarket.mechanism import (
 )
 from rigidmarket.matching import unserved
 
-from strategies import economies, make_economy
+from strategies import economies, make_economy, repeated_row_economies
 
 
 def settled(economy, state):
@@ -312,6 +312,44 @@ def test_refresh_matches_the_pass_by_pass_refresh(case):
     for before, after in zip(state.rationing.allowed, got.rationing.allowed):
         if after == before:
             assert after is before
+
+
+@settings(max_examples=60)
+@given(st.one_of(economies(), repeated_row_economies()))
+def test_refresh_with_an_answer_map_equals_the_plain_refresh(economy):
+    # one map serves every state of the lottery tree, as in a walk; each
+    # state is also refreshed as a twin whose rows are equal but other
+    # objects, so that every twin's answer is read back from the map
+    answers = {}
+    calls = 0
+    pending = [initial_state(economy)]
+    while pending:
+        state = pending.pop()
+        want = refresh_demands(economy, state)
+        twin = replace(
+            state,
+            rationing=RationingSystem(tuple(frozenset(list(r)) for r in state.rationing.allowed)),
+        )
+        for start in (state, twin):
+            got = refresh_demands(economy, start, answers)
+            calls += 1
+            assert got.demands == want.demands
+            assert got.rationing == want.rationing
+            assert got.prices == want.prices and got.sold == want.sold
+            if want.rationing is state.rationing:
+                assert got.rationing is start.rationing
+            for before, after in zip(start.rationing.allowed, got.rationing.allowed):
+                if after == before:
+                    assert after is before
+        x_min, item, entrants = gate(economy, got)
+        if x_min is None:
+            continue
+        if item is None:
+            pending.append(price_increase_step(economy, got, x_min))
+            continue
+        pending.extend(apply_sale(got, item, winner) for winner in entrants)
+    # at most one key per call
+    assert len(answers) <= calls
 
 
 def test_refresh_builds_one_rationing_and_no_forbid_many(monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import given
 
 from rigidmarket import (
     DUMMY,
+    Allocation,
     EconomyValidationError,
     RationingSystem,
     demand_set,
@@ -70,6 +71,23 @@ def test_forbid_rejects_a_buyer_outside_one_to_n(buyer):
     # 0 and -1 once wrapped round to the last buyers and True read as buyer 1
     with pytest.raises(ValueError, match=f"^UnknownBuyer: no buyer {buyer!r} among 1..3$"):
         RationingSystem.full(3, 4).forbid(buyer, 2)
+
+
+@pytest.mark.parametrize("buyer", [0, 4, True])
+def test_buyer_lookups_reject_a_buyer_outside_one_to_n(buyer):
+    # buyer 0 once read the last buyer's row, and True read buyer 1's
+    economy = make_economy([[5, 1], [2, 6], [4, 4]], [1, 1], [3, 3])
+    prices = economy.lower_bounds
+    rationing = RationingSystem.full(3, 3)
+    lookups = [
+        lambda: indirect_utility(economy, prices, rationing, buyer),
+        lambda: demand_set(economy, prices, rationing, buyer),
+        lambda: economy.value(buyer, 1),
+        lambda: Allocation((1, 2, 0)).item_of(buyer),
+    ]
+    for lookup in lookups:
+        with pytest.raises(ValueError, match=f"^UnknownBuyer: no buyer {buyer!r} among 1..3$"):
+            lookup()
 
 
 def test_indirect_utility_running_example(market):
