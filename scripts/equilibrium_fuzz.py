@@ -4,8 +4,10 @@
 Samples random economies, walks every lottery path, and checks each
 terminal tuple against the five equilibrium conditions.  For each
 economy it enumerates, it also checks that ``expected_values`` equals the
-probability-weighted sum of the histories and counts as many leaves.
-Prints a summary (and any counterexample immediately).
+probability-weighted sum of the histories and counts as many leaves, and
+that each buyer's truthful ``expected_profit_under_strategy`` equals its
+profit in that sum.  Prints a summary (and any counterexample
+immediately).
 
 Usage: python scripts/equilibrium_fuzz.py [--count 500] [--seed 0]
 """
@@ -18,7 +20,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rigidmarket import (  # noqa: E402
-    TreeSizeExceeded, aggregate_histories, check_cwe, enumerate_histories, expected_values,
+    ManipulationProblem, Strategy, TreeSizeExceeded, aggregate_histories, check_cwe,
+    enumerate_histories, expected_profit_under_strategy, expected_values,
 )
 from random_market import int_at_least, random_economy  # noqa: E402
 
@@ -34,6 +37,7 @@ def main():
     histories = 0
     skipped = 0
     compared = 0
+    buyers = 0
     for k in range(args.count):
         n = rng.randint(1, 5)
         m = rng.randint(1, 4)
@@ -54,14 +58,25 @@ def main():
         histories += len(leaves)
         report = expected_values(economy)
         walked = (report.expected_profit, report.expected_price)
-        if walked != aggregate_histories(economy, leaves) or report.tree_stats.leaves != len(leaves):
-            print(f"EXPECTATION MISMATCH at instance {k}: the tree walk and the histories differ")
+        aggregated = aggregate_histories(economy, leaves)
+        mismatch = None
+        if walked != aggregated or report.tree_stats.leaves != len(leaves):
+            mismatch = "the tree walk and the histories differ"
+        for i in economy.buyers:
+            problem = ManipulationProblem(economy, i)
+            profit = expected_profit_under_strategy(problem, Strategy.truthful(economy, i))
+            if profit != aggregated[0][i]:
+                mismatch = f"buyer {i}'s truthful strategy profit and the histories differ"
+        if mismatch is not None:
+            print(f"EXPECTATION MISMATCH at instance {k}: {mismatch}")
             print(f"  valuations: {[list(r[1:]) for r in economy.valuations]}")
             print(f"  bounds: {list(economy.lower_bounds[1:])} .. {list(economy.upper_bounds[1:])}")
             return 1
         compared += 1
+        buyers += economy.n_buyers
     print(f"{args.count - skipped} economies, {histories} histories, all equilibria"
-          f" ({skipped} skipped as too branchy); expected values agree on {compared} economies")
+          f" ({skipped} skipped as too branchy); expected values agree on {compared} economies,"
+          f" truthful strategy profits on {buyers} buyers")
     return 0
 
 

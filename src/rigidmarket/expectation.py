@@ -4,49 +4,48 @@ A run of the mechanism is nondeterministic only at lotteries, where each
 of the ``k`` eligible buyers wins with chance ``1/k``.  Expected values
 are therefore exact rationals; this module computes them two ways:
 
-* :func:`expected_values` walks the lottery tree on the mechanism's own
-  states and steps: :func:`~rigidmarket.mechanism.refresh_demands`
-  settles each node and :func:`~rigidmarket.mechanism.gate` decides it.
-  The value is the sum of each leaf's payoff times its probability; the
-  strategy module's profit evaluation is the same walk with another
-  payoff.
+* :func:`expected_values` plays the mechanism's own states and steps:
+  :func:`~rigidmarket.mechanism.refresh_demands` settles a round and
+  :func:`~rigidmarket.mechanism.gate` decides it.  The value is the sum
+  of each leaf's payoff times its probability; the strategy module's
+  profit evaluation is the same walk with another payoff.
 * :func:`enumerate_histories` forks the live mechanism state at every
   lottery and collects one terminal tuple per complete history, with its
-  probability.
+  probability.  It walks the tree depth first on an explicit stack, the
+  entrants of each lottery in ascending order.
 
-Both walks raise prices one round at a time and keep their open nodes on
-an explicit stack, depth first with the entrants in ascending order, so
-a tree of any depth stays within Python's recursion limit and only the
-node and leaf limits bound it.
+Both raise prices one round at a time and keep their open work in a
+container rather than on the call stack, so a tree of any depth stays
+within Python's recursion limit and only the node and leaf limits bound
+it.
 
-:func:`expected_values` walks each residual market once.  Strikes only
-ever remove sold items, so an unsold buyer's permission row less the
-sold items is always the set of unsold items, and its settled demand
-depends only on the prices and the sold item set.  So does everything
-the rest of a history does, once each lottery winner's profit (value
-less cap) is credited at its sale: the subtree below a round is fixed
-by (prices, sold item set, sold buyer set), whoever holds which item.
-The walk keeps each subtree's value under that key, with its node and
-leaf counts, and reads a repeated residual market back instead of
-walking it again.  It also hands :func:`refresh_demands` a per-walk
-answer map, so a buyer's settlement at the same prices, sold items and
-permission row is computed once.  A leaf scores each unsold buyer from
-its settled demand: value less price of any item in it.  The strategy
-walks take neither the memo nor the answer map: their ``early`` callback
-records the manipulator's queries at every state where she reports, in
-walk order, which a memo hit would skip.
+:func:`expected_values` plays each residual market once, in one forward
+pass.  Strikes only ever remove sold items, so an unsold buyer's
+permission row less the sold items is always the set of unsold items,
+and its settled demand depends only on the prices and the sold item
+set.  So does everything the rest of a history does, once each lottery
+winner's profit (value less cap) is credited at its sale: the subtree
+below a round is fixed by its residual market, (prices, sold item set,
+sold buyer set), whoever holds which item.  Each pending market holds
+one representative state and the integer probability mass and count of
+the histories that reach it.  Every step raises the number of sold
+items plus the sum of prices, so the pass plays markets in that order
+and meets each one after all the markets that lead to it.  A leaf
+scores each unsold buyer from its settled demand: value less price of
+any item in it.  Within one pass an answer map lets
+:func:`refresh_demands` compute a buyer's settlement at the same prices,
+sold items and permission row once.
 
-The routes differ only in how leaves are scored, so their agreement,
-which the tests check in aggregate and leaf count, checks the scoring
-and the memo.  :func:`enumerate_histories` keeps the uncached refresh,
-which the full-refresh oracle ``assert_matches_full_refresh`` in
-``tests/test_mechanism.py`` checks, where every unsold buyer reports
-every round.
+The two routes differ in how leaves are scored and in whether histories
+that meet are merged, so their agreement, which the tests check in
+aggregate and leaf count, checks both.  :func:`enumerate_histories`
+keeps the plain refresh, which the full-refresh oracle
+``assert_matches_full_refresh`` in ``tests/test_mechanism.py`` checks,
+where every unsold buyer reports every round.
 
-All arithmetic is exact.  A leaf's probability is ``1/d``, where ``d``
-is the product of the entrant counts of the lotteries on its path, so
-:func:`expected_values` sums the integer payoffs of the leaves that
-share a ``d``, brings the sums to one common denominator and builds one
+All arithmetic is exact.  :func:`expected_values` carries probability
+mass as integers over one common denominator, sums leaf payoffs and
+sale credits weighted by it, and builds one
 :class:`fractions.Fraction` per column at the end;
 :func:`enumerate_histories` carries each history's probability as a
 ``Fraction``.
@@ -128,130 +127,116 @@ def _walk_lottery_tree(
     economy: Economy,
     node_limit: int,
     payoff: Callable[[MechanismState], Sequence[int]],
-    early: Optional[Callable[[MechanismState], Optional[Sequence[int]]]] = None,
-    credit: Optional[Callable[[int, int], Sequence[int]]] = None,
-) -> tuple[tuple[Fraction, ...], int, int]:
-    """Expected ``payoff`` over the mechanism's lottery tree: (value, nodes, leaves).
+    credit: Callable[[int, int], Sequence[int]],
+    manipulator: Optional[int] = None,
+) -> tuple[tuple[Fraction, ...], int, int, list]:
+    """Expected ``payoff`` over the lottery tree: (value, nodes, leaves, transcript).
 
-    A node is one round: a :class:`MechanismState` popped from a stack.
-    ``early(state)``, when given, may fix a node's value before its round
-    is played.  Otherwise :func:`refresh_demands` settles the reports,
-    :func:`gate` decides the round, and a settled node is a leaf worth
-    ``payoff`` of its state.  A raise pushes one
-    :func:`price_increase_step` child, so every round is a node, and the
-    walk stops at the first node past ``node_limit``.  A lottery node
-    pushes one :func:`apply_sale` child per entrant, each reached with
-    probability one over the entrant count; ``credit(item, winner)``,
-    when given, is added to the node's value at that probability, so a
-    payoff may leave out the buyers sold on the way to the leaf.
+    A node is one round of one history.  The walk plays each residual
+    market, keyed (prices, sold item set, sold buyer set), once, in one
+    forward pass (see the module docstring).  A pending market holds a
+    representative state, the integer mass of the histories that reach
+    it, over ``lcm(1..n) ** min(n, m)`` for n buyers and m real items, and
+    their count.  Markets are played by rank, the number of sold items
+    plus the sum of prices (counted from the root), and within a rank in
+    the order they were reached.  Every edge raises the rank, so a market
+    is played after all of its parents, with its whole mass.
 
-    A subtree's value is kept relative to its root, as one integer sum
-    vector per denominator: its leaves' payoffs and credits, each leaf's
-    probability below the root being one over its denominator.  A leaf is
-    ``{1: payoff}``.  A raise node has its child's value.  A lottery
-    node's value takes each child's sums with the denominators multiplied
-    by the entrant count, plus the child's credit under the entrant
-    count.  The walk is post-order on the explicit stack: a lottery node
-    leaves a close entry under its children and gets its value when that
-    entry is popped.  At the end the root's sums are brought to the least
-    common denominator and one :class:`Fraction` per column is built, so
-    the value is exact.
+    Playing a market adds its count to the nodes.
+    :func:`refresh_demands` settles it, with a per-walk answer map unless
+    there is a ``manipulator``, and :func:`gate` decides it.  A settled
+    market is a leaf: it adds its count to the leaves and its mass times
+    ``payoff`` of the settled state to the sums.  A raise hands mass and
+    count to its :func:`price_increase_step` child.  A lottery of ``k``
+    entrants hands each winner's :func:`apply_sale` child the share
+    ``mass // k``, and adds the share times ``credit(item, winner)`` to
+    the sums.  The share is exact: a history draws at most ``min(n, m)``
+    lotteries of at most ``n`` entrants, and the histories that meet at a
+    market have all drawn one lottery per sold item.  A child state is
+    built only when its market is new.  The value is the sums over the
+    common denominator.
 
-    Without ``early`` the walk does each piece of work once:
+    A ``manipulator``'s win ends its branch, as one node and one leaf per
+    path, so ``credit`` must pay her profit at the sale.  The transcript
+    lists, in pass order, one ``(query, answer)`` pair per market where
+    she reports: the query is her
+    :func:`~rigidmarket.model.settled_demand` arguments less her value
+    row (prices, permission row, sold item set), the answer her settled
+    permission row and demand.
 
-    * it passes a per-walk answer map to :func:`refresh_demands`, so a
-      buyer's settlement at the same prices, sold items and permission
-      row is computed once; the map gains at most one key per node;
-    * it keeps a memo of subtree values, counts included, keyed on the
-      node's prices, sold item set and sold buyer set before its refresh.
-      Strikes only remove sold items, so every unsold buyer's permission
-      row less the sold items is the set of unsold items, and its settled
-      demand depends on the prices and the sold items alone.  Every later
-      round reads only those demands and prices, so the key fixes the
-      subtree.  Who holds which sold item does not enter it, which is
-      why the payoff must score only the unsold buyers and the prices and
-      leave each sale to ``credit``.  A hit adds the stored node and leaf
-      counts; a node limit first crossed inside a hit reports
-      ``node_limit + 1`` nodes, as the full walk would.  The memo holds at
-      most one entry per node walked.
-
-    With ``early`` (the strategy walks) the walk takes neither: ``early``
-    must see every state, in walk order.  :func:`enumerate_histories`
-    keeps the uncached refresh, so it and the full-refresh oracle of
-    ``tests/test_mechanism.py`` check this walk independently.
+    Once the nodes counted pass ``node_limit``, the walk raises
+    :class:`TreeSizeExceeded` after the market it is playing, with
+    ``node_limit + 1`` nodes (1 for a negative limit): the count at which
+    a walk of one node at a time would stop.
     """
-    memo = answers = None
-    if early is None:
-        memo, answers = {}, {}
+    n = economy.n_buyers
+    scale = lcm(*range(1, n + 1)) ** min(n, economy.n_items - 1)
+    # a strategy walk plays a handful of markets and seldom repeats an
+    # answer, so the answer map costs it more than it saves
+    answers = {} if manipulator is None else None
+    transcript: list = []
+    total: list[int] = []
     nodes = leaves = 0
 
-    def deliver(value, parent, scale, gain, chain):
-        """Store ``value`` for the pending keys of ``chain`` and add it to ``parent``."""
-        while chain is not None:
-            key, nodes_before, leaves_before, chain = chain
-            memo[key] = (value, nodes - nodes_before, leaves - leaves_before)
-        for denominator, column_sums in value.items():
-            denominator *= scale
-            previous = parent.get(denominator)
-            parent[denominator] = (
-                column_sums if previous is None else [p + v for p, v in zip(previous, column_sums)]
-            )
-        if gain is not None:
-            previous = parent.get(scale)
-            parent[scale] = gain if previous is None else [p + g for p, g in zip(previous, gain)]
+    def add(weight: int, vector: Sequence[int]) -> None:
+        if not total:
+            total.extend([0] * len(vector))
+        for k, v in enumerate(vector):
+            total[k] += weight * v
 
-    total: dict[int, Sequence[int]] = {}
-    # (state, value, parent, scale, gain, chain): ``state`` is None on a
-    # lottery node's close entry, whose ``value`` is then complete.
-    # ``chain`` links the memo keys of the nodes awaiting this value.
-    stack = [(initial_state(economy), None, total, 1, None, None)]
-    while stack:
-        state, value, parent, scale, gain, chain = stack.pop()
-        if state is None:
-            deliver(value, parent, scale, gain, chain)
-            continue
-        nodes += 1
-        if nodes > node_limit:
-            raise TreeSizeExceeded(f"lottery tree exceeded {node_limit} nodes", nodes=nodes)
-        if memo is not None:
-            sold = state.sold
-            key = (state.prices, frozenset(sold.item_to_buyer), frozenset(sold.buyer_to_item))
-            hit = memo.get(key)
-            if hit is not None:
-                value, subtree_nodes, subtree_leaves = hit
-                nodes += subtree_nodes - 1
-                if nodes > node_limit:
-                    raise TreeSizeExceeded(
-                        f"lottery tree exceeded {node_limit} nodes", nodes=node_limit + 1
-                    )
-                leaves += subtree_leaves
-                deliver(value, parent, scale, gain, chain)
-                continue
-            chain = (key, nodes - 1, leaves, chain)
-        value = None if early is None else early(state)
-        if value is None:
+    root = initial_state(economy)
+    # rank -> {market key: [representative state, mass, path count]}; a
+    # step raises the rank by at most m, so at most m ranks are pending
+    pending = {0: {(root.prices, frozenset(), frozenset()): [root, scale, 1]}}
+
+    def reach(rank, key, mass, paths, step, *args):
+        """Add mass and paths to the pending market ``key``; ``step(*args)`` opens a new one."""
+        markets = pending.setdefault(rank, {})
+        entry = markets.get(key)
+        if entry is None:
+            markets[key] = [step(*args), mass, paths]
+        else:
+            entry[1] += mass
+            entry[2] += paths
+
+    while pending:
+        rank = min(pending)
+        for (prices, sold_items, sold_buyers), (state, mass, paths) in pending.pop(rank).items():
+            nodes += paths
             settled = refresh_demands(economy, state, answers)
+            if manipulator in state.active:
+                her = manipulator - 1
+                transcript.append((
+                    (prices, state.rationing.allowed[her], sold_items),
+                    (settled.rationing.allowed[her], settled.demands[manipulator]),
+                ))
             x_min, item, entrants = gate(economy, settled)
             if x_min is None:
-                value = payoff(settled)
+                leaves += paths
+                add(mass, payoff(settled))
             elif item is None:
-                child = price_increase_step(economy, settled, x_min)
-                stack.append((child, None, parent, scale, gain, chain))
-                continue
+                raised = list(prices)
+                for a in x_min:
+                    raised[a] += 1
+                raised = tuple(raised)
+                reach(rank + len(x_min), (raised, sold_items, sold_buyers), mass, paths,
+                      price_increase_step, economy, settled, x_min)
             else:
-                node_value: dict[int, Sequence[int]] = {}
-                stack.append((None, node_value, parent, scale, gain, chain))
-                entrant_count = len(entrants)
-                for winner in reversed(entrants):
-                    child = apply_sale(settled, item, winner)
-                    child_gain = None if credit is None else credit(item, winner)
-                    stack.append((child, None, node_value, entrant_count, child_gain, None))
-                continue
-        leaves += 1
-        deliver({1: value}, parent, scale, gain, chain)
-    common = lcm(*total)
-    scaled = [[s * (common // d) for s in column_sums] for d, column_sums in total.items()]
-    return tuple(Fraction(sum(column), common) for column in zip(*scaled)), nodes, leaves
+                share = mass // len(entrants)
+                sold_items = sold_items | {item}
+                for winner in entrants:
+                    add(share, credit(item, winner))
+                    if winner == manipulator:
+                        nodes += paths
+                        leaves += paths
+                    else:
+                        reach(rank + 1, (prices, sold_items, sold_buyers | {winner}), share,
+                              paths, apply_sale, settled, item, winner)
+            if nodes > node_limit:
+                raise TreeSizeExceeded(
+                    f"lottery tree exceeded {node_limit} nodes", nodes=max(node_limit, 0) + 1
+                )
+    return tuple(Fraction(s, scale) for s in total), nodes, leaves, transcript
 
 
 def expected_values(
@@ -260,8 +245,8 @@ def expected_values(
     """Expected profit per buyer and expected price per item, exactly.
 
     The lottery tree is capped at ``node_limit`` nodes, one per round of
-    some history; :class:`TreeSizeExceeded` carries the count reached,
-    ``node_limit + 1`` for a positive limit.  A ``node_limit`` that is not
+    some history; :class:`TreeSizeExceeded` carries ``node_limit + 1``
+    nodes, or 1 for a negative limit.  A ``node_limit`` that is not
     an integer is a ``ValueError``.
 
     A lottery winner's profit, value less cap, is credited at its sale.
@@ -287,7 +272,7 @@ def expected_values(
         gain[winner - 1] = valuations[winner - 1][item] - caps[item]
         return gain
 
-    value, nodes, leaves = _walk_lottery_tree(economy, node_limit, payoff, credit=credit)
+    value, nodes, leaves, _ = _walk_lottery_tree(economy, node_limit, payoff, credit)
     mass = value[-1]
     if mass != 1:
         raise RuntimeError("leaf probabilities do not sum to one")  # unreachable

@@ -158,21 +158,19 @@ def refresh_demands(
     rationing = state.rationing
     sold = state.sold.item_to_buyer
     valuations = economy.valuations
-    table = None
-    if answers is not None:
-        key = (prices, frozenset(sold))
-        table = answers.get(key)
-        if table is None:
-            table = answers[key] = _Memo(
-                lambda k: settled_demand(valuations[k[0] - 1], prices, k[1], sold)
-            )
+    table = None if answers is None else answers.setdefault((prices, frozenset(sold)), {})
     rows = None
     for i in sorted(state.active):
         allowed = rationing.allowed[i - 1]
         if table is None:
             row, demands[i] = settled_demand(valuations[i - 1], prices, allowed, sold)
         else:
-            row, demands[i] = table[i, allowed]
+            answer = table.get((i, allowed))
+            if answer is None:
+                answer = table[i, allowed] = settled_demand(
+                    valuations[i - 1], prices, allowed, sold
+                )
+            row, demands[i] = answer
         # a row is a subset of ``allowed``: an equal length means nothing
         # was struck, though a read-back row is another state's object
         if row is not allowed and len(row) != len(allowed):

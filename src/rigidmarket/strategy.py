@@ -19,16 +19,19 @@ strategy inside a value box by exhaustive enumeration.
 The search walks far fewer trees than it scores rows.  The walk of a
 reported economy reads the manipulator's reported row in one place
 only: her :func:`~rigidmarket.model.settled_demand` call (permission
-row and demand) at each refresh where she reports.  Everything else the
-walk does reads the other buyers' rows, the price bounds and the state,
+row and demand) at each residual market where she reports.  Everything
+else the walk does, the order in which it plays the markets included,
+reads the other buyers' rows, the price bounds and the states reached,
 and the profit is scored with her true row.  So the walk is a function
 of her answers: two rows that give the same answers, query by query,
-play the same rounds and score the same profit.  A query is that
+play the same markets and score the same profit.  A query is that
 call's arguments less her row: prices, permission row and sold items.
 One search keeps a trie of the answer transcripts it has met
 (:class:`_AnswerTrie`); a new row replays the trie by calling
 ``settled_demand`` on the stored queries, and only a new answer builds
-the reported economy and walks its tree.
+the reported economy and walks its tree.  A walk's own answers come
+from its settled states, so it records its transcript without asking
+again.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ from typing import Optional
 
 from .errors import NotTwoBuyers, SizeGuard
 from .mechanism import rm
-from .model import DUMMY, Economy, RationingSystem, _is_int, demand_set, settled_demand
+from .model import (
+    DUMMY, Economy, RationingSystem, _check_buyer, _is_int, demand_set, settled_demand
+)
 from .expectation import DEFAULT_NODE_LIMIT, _check_limit, _walk_lottery_tree, expected_values
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
@@ -67,15 +72,8 @@ class Strategy:
 
     @staticmethod
     def truthful(economy: Economy, buyer: int) -> "Strategy":
-        _check_buyer(economy, buyer)
+        _check_buyer(buyer, economy.n_buyers)
         return Strategy(economy.valuations[buyer - 1])
-
-
-def _check_buyer(economy: Economy, buyer) -> None:
-    if not _is_int(buyer):
-        raise ValueError(f"NonIntegerEntry: a buyer must be an integer, got {buyer!r}")
-    if buyer not in economy.buyers:
-        raise ValueError(f"no buyer {buyer} in this economy")
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ class ManipulationProblem:
     manipulator: int = 1
 
     def __post_init__(self):
-        _check_buyer(self.economy, self.manipulator)
+        _check_buyer(self.manipulator, self.economy.n_buyers)
 
     def reported_economy(self, strategy: Strategy) -> Economy:
         if len(strategy.reported_values) != self.economy.n_items:
@@ -104,36 +102,34 @@ def default_value_cap(problem: ManipulationProblem) -> int:
 
 
 def _true_profit_of_run(
-    economy: Economy, true_row, manipulator: int, node_limit: int, queries=None
-) -> Fraction:
+    economy: Economy, true_row, manipulator: int, node_limit: int
+) -> tuple[Fraction, list]:
     """Expected true-value profit of the manipulator in the reported economy.
 
-    Walks the reported economy's lottery tree.  Once the manipulator
-    holds an item her payoff is settled (sold prices never move), so
-    those branches stop early; at settled leaves where she holds nothing
-    the completion matching decides what she receives.  ``queries``, when
-    a list, receives in walk order one query per state at which she
-    reports (she is unsold and active there): the arguments of her
-    :func:`~rigidmarket.model.settled_demand` call at that refresh, less
-    her row.
+    Returns the profit and the walk's transcript of her answers.  The
+    walk is :func:`~rigidmarket.expectation._walk_lottery_tree` on the
+    reported economy.  Her win credits her true value less the cap at the
+    sale and ends the branch, since sold prices never move.  At a settled
+    leaf, where she holds nothing, the completion matching decides what
+    she receives.  The transcript holds one (query, answer) pair per
+    residual market where she reports (she is unsold and active there):
+    her :func:`~rigidmarket.model.settled_demand` arguments less her row,
+    and what that call returned.
     """
-
-    def early(state):
-        bought = state.sold.buyer_to_item.get(manipulator)
-        if bought is not None:
-            return (true_row[bought] - state.prices[bought],)
-        if queries is not None and manipulator in state.active:
-            allowed = state.rationing.allowed[manipulator - 1]
-            queries.append((state.prices, allowed, state.sold.item_to_buyer))
-        return None
+    caps = economy.upper_bounds
 
     def payoff(state):
         completion = rm(state.demands, state.sold, state.prices, economy.lower_bounds)
         item = completion.buyer_to_item.get(manipulator, DUMMY)
         return (true_row[item] - state.prices[item],)
 
-    (profit,), _, _ = _walk_lottery_tree(economy, node_limit, payoff, early)
-    return profit
+    def credit(item, winner):
+        return (true_row[item] - caps[item] if winner == manipulator else 0,)
+
+    (profit,), _, _, transcript = _walk_lottery_tree(
+        economy, node_limit, payoff, credit, manipulator
+    )
+    return profit, transcript
 
 
 def expected_profit_under_strategy(
@@ -145,7 +141,8 @@ def expected_profit_under_strategy(
     _check_limit("node_limit", node_limit)
     reported = problem.reported_economy(strategy)
     true_row = problem.economy.valuations[problem.manipulator - 1]
-    return _true_profit_of_run(reported, true_row, problem.manipulator, node_limit)
+    profit, _ = _true_profit_of_run(reported, true_row, problem.manipulator, node_limit)
+    return profit
 
 
 @dataclass(frozen=True)
@@ -229,19 +226,18 @@ class _AnswerTrie:
 
     def _walk(self, row) -> Fraction:
         reported = self.economy.with_valuation_row(self.manipulator, row)
-        queries: list = []
-        profit = _true_profit_of_run(
-            reported, self.true_row, self.manipulator, self.node_limit, queries
+        profit, transcript = _true_profit_of_run(
+            reported, self.true_row, self.manipulator, self.node_limit
         )
         self.full_walks += 1
         children, key = self.root, None
-        for query in queries:
+        for query, answer in transcript:
             node = children.get(key)
             if node is None:
                 node = children[key] = (query, {})
             elif type(node) is not tuple:
                 raise RuntimeError("a walk's transcript runs past a recorded one")  # unreachable
-            children, key = node[1], settled_demand(row, *query)
+            children, key = node[1], answer
         if key in children:
             raise RuntimeError("a walk's transcript is already in the trie")  # unreachable
         children[key] = profit

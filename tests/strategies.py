@@ -106,7 +106,7 @@ def repeated_row_economies(draw, max_real_items=3, max_value=8):
 
     Draws come early and often, and equal rows make sibling lottery
     subtrees meet the same residual market: the markets where the
-    expected-value walk's memo hits most.
+    expected-value pass merges the most histories.
     """
     m = draw(st.integers(1, max_real_items))
     row = st.lists(st.integers(0, max_value), min_size=m, max_size=m)

@@ -4,7 +4,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidmarket import (
@@ -145,6 +145,31 @@ def live_round_count(economy):
     return rounds
 
 
+@settings(max_examples=60)
+@given(st.one_of(economies(), repeated_row_economies()))
+@example(make_economy([[5] * 3] * 4, [2] * 3, [2] * 3))  # sibling draws meet often
+def test_states_of_one_residual_market_play_alike(economy):
+    # every state the live mechanism reaches with the same prices, sold
+    # items and sold buyers settles to the same demands and gets the same
+    # gate decision, whoever holds which item and whatever it struck
+    seen = {}
+    pending = [initial_state(economy)]
+    while pending:
+        state = refresh_demands(economy, pending.pop())
+        sold = state.sold
+        key = (state.prices, frozenset(sold.item_to_buyer), frozenset(sold.buyer_to_item))
+        decision = gate(economy, state)
+        assert seen.setdefault(key, (state.demands, decision)) == (state.demands, decision)
+        x_min, item, entrants = decision
+        if x_min is None:
+            continue
+        if item is None:
+            pending.append(price_increase_step(economy, state, x_min))
+            continue
+        for winner in entrants:
+            pending.append(apply_sale(state, item, winner))
+
+
 def assert_node_count_is_the_round_count(economy):
     nodes = expected_values(economy).tree_stats.nodes
     assert nodes == live_round_count(economy)
@@ -218,11 +243,11 @@ def test_sibling_draws_reuse_one_residual_market(monkeypatch):
     "buyers, items",
     [
         # round 6 repeats the leaf at round 3 (a and b sold to buyers 1
-        # and 2): a limit of 5 is first crossed at a hit
+        # and 2): the pass plays them as one market of two histories
         (3, 2),
         # rounds 13 to 15 repeat rounds 3 to 5 (a and b sold to buyers 1
-        # and 2, then a draw for c): limits 13 and 14 are first crossed
-        # inside a hit
+        # and 2, then a draw for c): limits 13 and 14 are crossed inside
+        # markets that stand for several rounds
         (4, 3),
     ],
 )

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from rigidmarket import (
     two_buyer_case_analysis,
 )
 from rigidmarket.mechanism import apply_sale, gate
+from rigidmarket.model import settled_demand
 from rigidmarket.strategy import (
     _AnswerTrie,
     _clamp_windows,
@@ -32,7 +34,7 @@ from rigidmarket.strategy import (
     _true_profit_of_run,
 )
 
-from strategies import economies, make_economy, random_economy
+from strategies import economies, make_economy, random_economy, repeated_row_economies
 
 
 def history_oracle(problem, strategy):
@@ -62,13 +64,13 @@ def test_strategy_validation():
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda m: ManipulationProblem(m, 1.0), "^NonIntegerEntry"),
-        (lambda m: ManipulationProblem(m, True), "^NonIntegerEntry"),
-        (lambda m: ManipulationProblem(m, 6), "no buyer 6 in this economy"),
-        (lambda m: Strategy.truthful(m, 0), "no buyer 0 in this economy"),
-        (lambda m: Strategy.truthful(m, -1), "no buyer -1 in this economy"),
-        (lambda m: Strategy.truthful(m, 6), "no buyer 6 in this economy"),
-        (lambda m: Strategy.truthful(m, True), "^NonIntegerEntry"),
+        (lambda m: ManipulationProblem(m, 1.0), "^UnknownBuyer: no buyer 1.0 among 1..5$"),
+        (lambda m: ManipulationProblem(m, True), "^UnknownBuyer: no buyer True among 1..5$"),
+        (lambda m: ManipulationProblem(m, 6), "^UnknownBuyer: no buyer 6 among 1..5$"),
+        (lambda m: Strategy.truthful(m, 0), "^UnknownBuyer: no buyer 0 among 1..5$"),
+        (lambda m: Strategy.truthful(m, -1), "^UnknownBuyer: no buyer -1 among 1..5$"),
+        (lambda m: Strategy.truthful(m, 6), "^UnknownBuyer: no buyer 6 among 1..5$"),
+        (lambda m: Strategy.truthful(m, True), "^UnknownBuyer: no buyer True among 1..5$"),
     ],
     ids=[
         "problem_float",
@@ -108,7 +110,12 @@ def test_zero_report_earns_nothing(market):
 
 
 @settings(max_examples=40)
-@given(economies(max_buyers=3, max_real_items=2, max_value=6))
+@given(
+    st.one_of(
+        economies(max_buyers=3, max_real_items=2, max_value=6),
+        repeated_row_economies(max_value=6),
+    )
+)
 def test_profit_matches_history_oracle(economy):
     problem = ManipulationProblem(economy, 1)
     rng = random.Random(economy.n_buyers * 7 + economy.n_items)
@@ -131,7 +138,7 @@ def test_long_step_evaluator_is_exact(economy):
     for _ in range(3):
         row = (0, *[rng.randint(0, 7) for _ in economy.real_items])
         reported = economy.with_valuation_row(1, row)
-        walked = _true_profit_of_run(reported, truth, 1, 10**6)
+        walked, _ = _true_profit_of_run(reported, truth, 1, 10**6)
         assert walked == history_oracle(problem, Strategy(row))
 
 
@@ -223,7 +230,13 @@ def test_search_matches_the_plain_walk_over_the_box():
 
 
 @settings(max_examples=30)
-@given(economies(max_buyers=3, max_real_items=2, max_value=6), st.data())
+@given(
+    st.one_of(
+        economies(max_buyers=3, max_real_items=2, max_value=6),
+        repeated_row_economies(max_value=6),
+    ),
+    st.data(),
+)
 def test_answer_trie_replays_the_plain_walk(economy, data):
     m = economy.n_items - 1
     rows = data.draw(
@@ -231,15 +244,18 @@ def test_answer_trie_replays_the_plain_walk(economy, data):
     )
     truth = economy.valuations[0]
     trie = _AnswerTrie(economy, 1, 10**6)
-    for row in rows:
+
+    def walked(row):
         reported = economy.with_valuation_row(1, (0, *row))
-        assert trie.profit((0, *row)) == _true_profit_of_run(reported, truth, 1, 10**6)
+        return _true_profit_of_run(reported, truth, 1, 10**6)[0]
+
+    for row in rows:
+        assert trie.profit((0, *row)) == walked(row)
     walks = trie.full_walks
     assert walks <= len(set(rows))
     # every transcript is recorded now: a second pass only replays
     for row in rows:
-        reported = economy.with_valuation_row(1, (0, *row))
-        assert trie.profit((0, *row)) == _true_profit_of_run(reported, truth, 1, 10**6)
+        assert trie.profit((0, *row)) == walked(row)
     assert trie.full_walks == walks
 
 
@@ -266,18 +282,31 @@ def reporting_states(economy, manipulator):
 
 
 @settings(max_examples=40)
-@given(economies(max_buyers=3, max_real_items=2, max_value=6), st.data())
+@given(
+    st.one_of(
+        economies(max_buyers=3, max_real_items=2, max_value=6),
+        repeated_row_economies(max_value=6),
+    ),
+    st.data(),
+)
 def test_walk_queries_exactly_the_states_where_she_reports(economy, data):
-    # the trie's transcript: one query per refresh where she is unsold and
-    # active, in walk order, and no other state
-    row = data.draw(st.tuples(*[st.integers(0, 9)] * (economy.n_items - 1)))
-    reported = economy.with_valuation_row(1, (0, *row))
-    queries = []
-    _true_profit_of_run(reported, economy.valuations[0], 1, 10**6, queries)
-    assert queries == [
-        (s.prices, s.rationing.allowed[0], s.sold.item_to_buyer)
-        for s in reporting_states(reported, 1)
-    ]
+    # the trie's transcript: one query per residual market (prices, sold
+    # items, sold buyers) where she is unsold and active, and no other;
+    # each answer is her settled_demand on that query
+    row = (0, *data.draw(st.tuples(*[st.integers(0, 9)] * (economy.n_items - 1))))
+    reported = economy.with_valuation_row(1, row)
+    _, transcript = _true_profit_of_run(reported, economy.valuations[0], 1, 10**6)
+    rows = {}  # her permission rows at each residual market, depth first
+    for s in reporting_states(reported, 1):
+        key = (s.prices, frozenset(s.sold.item_to_buyer), frozenset(s.sold.buyer_to_item))
+        rows.setdefault(key, set()).add(s.rationing.allowed[0])
+    assert Counter((prices, sold) for (prices, _, sold), _ in transcript) == Counter(
+        (prices, sold) for prices, sold, _ in rows
+    )
+    for query, answer in transcript:
+        prices, allowed, sold = query
+        assert any(allowed in r for key, r in rows.items() if key[:2] == (prices, sold))
+        assert answer == settled_demand(row, *query)
 
 
 def test_search_size_guard_counts_like_the_plain_walk():
@@ -342,6 +371,21 @@ def test_size_limits_must_be_integers(market, limit):
         with pytest.raises(ValueError, match="^NonIntegerEntry"):
             call()
     assert len(enumerate_histories(market, max_leaves=None)) == 2
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_non_positive_node_limits_stop_at_the_first_node(market, limit):
+    problem = ManipulationProblem(market, 1)
+    truthful = Strategy.truthful(market, 1)
+    calls = [
+        lambda: expected_values(market, node_limit=limit),
+        lambda: expected_profit_under_strategy(problem, truthful, node_limit=limit),
+        lambda: optimal_strategy_search(problem, cap=1, node_limit=limit),
+    ]
+    for call in calls:
+        with pytest.raises(TreeSizeExceeded) as exc:
+            call()
+        assert exc.value.nodes == 1
 
 
 def test_default_cap(market):
