@@ -6,8 +6,11 @@ terminal tuple against the five equilibrium conditions.  For each
 economy it enumerates, it also checks that ``expected_values`` equals the
 probability-weighted sum of the histories and counts as many leaves, and
 that each buyer's truthful ``expected_profit_under_strategy`` equals its
-profit in that sum.  Prints a summary (and any counterexample
-immediately).
+profit in that sum.  On every round of one seeded run per economy it
+checks that ``mods`` picks the same set as the plain filter (one
+maximum matching per grown item, no counting shortcut) and that a
+non-empty answer is among ``minimal_over_demanded_sets``.  Prints a
+summary (and any counterexample immediately).
 
 Usage: python scripts/equilibrium_fuzz.py [--count 500] [--seed 0]
 """
@@ -20,10 +23,39 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rigidmarket import (  # noqa: E402
-    ManipulationProblem, Strategy, TreeSizeExceeded, aggregate_histories, check_cwe,
-    enumerate_histories, expected_profit_under_strategy, expected_values,
+    ManipulationProblem, SeededLottery, Strategy, TreeSizeExceeded, aggregate_histories,
+    check_cwe, enumerate_histories, expected_profit_under_strategy, expected_values,
+    grow_over_demanded, max_matching, minimal_over_demanded_sets, mods, run_mapr,
 )
 from random_market import int_at_least, random_economy  # noqa: E402
+
+
+def plain_filter(demands):
+    """The ``mods`` filter with one maximum matching per grown item."""
+    grown, _ = grow_over_demanded(demands)
+    x_min = set()
+    rest = set(grown)
+    for a in sorted(grown):
+        rest.discard(a)
+        candidate = x_min | rest
+        confined = {i: d for i, d in demands.items() if d <= candidate}
+        if len(max_matching(confined)) == len(confined):
+            x_min.add(a)
+    return frozenset(x_min)
+
+
+def mods_mismatches(economy, seed):
+    """Rounds of one seeded run where ``mods`` leaves the plain filter or minimality."""
+    rows = run_mapr(economy, SeededLottery(seed)).trace.rows
+    bad = 0
+    for row in rows:
+        demands = {i: frozenset(d) for i, d in enumerate(row.demands, 1) if d is not None}
+        x_min = mods(demands)
+        if x_min != plain_filter(demands) or (
+            x_min and x_min not in minimal_over_demanded_sets(demands)
+        ):
+            bad += 1
+    return bad, len(rows)
 
 
 def main():
@@ -38,10 +70,18 @@ def main():
     skipped = 0
     compared = 0
     buyers = 0
+    rounds = 0
     for k in range(args.count):
         n = rng.randint(1, 5)
         m = rng.randint(1, 4)
         economy = random_economy(rng, n, m)
+        bad, played = mods_mismatches(economy, k)
+        rounds += played
+        if bad:
+            print(f"MODS MISMATCH at instance {k}: {bad} of {played} rounds (lottery seed {k})")
+            print(f"  valuations: {[list(r[1:]) for r in economy.valuations]}")
+            print(f"  bounds: {list(economy.lower_bounds[1:])} .. {list(economy.upper_bounds[1:])}")
+            return 1
         try:
             leaves = enumerate_histories(economy, max_leaves=args.max_leaves)
         except TreeSizeExceeded:
@@ -76,7 +116,8 @@ def main():
         buyers += economy.n_buyers
     print(f"{args.count - skipped} economies, {histories} histories, all equilibria"
           f" ({skipped} skipped as too branchy); expected values agree on {compared} economies,"
-          f" truthful strategy profits on {buyers} buyers")
+          f" truthful strategy profits on {buyers} buyers; mods mismatches: 0 over"
+          f" {rounds} rounds of seeded runs")
     return 0
 
 

@@ -13,6 +13,7 @@ from .errors import (
     InvalidMatching,
     NoEntrants,
     NotTwoBuyers,
+    RoundLimitExceeded,
     ScriptError,
     SizeGuard,
     TreeSizeExceeded,
@@ -55,6 +56,7 @@ from .equilibrium import (
     over_demanded_sets,
 )
 from .mechanism import (
+    DEFAULT_ROUND_LIMIT,
     LotteryEvent,
     MaprOutcome,
     MechanismState,

@@ -24,7 +24,7 @@ from .equilibrium import CONDITION_NAMES, check_cwe
 from .errors import EconomyValidationError, ScriptError, SizeGuard, TreeSizeExceeded
 from .expectation import DEFAULT_NODE_LIMIT, enumerate_histories, expected_values
 from .matching import max_matching, unserved
-from .mechanism import ScriptedLottery, SeededLottery, run_mapr
+from .mechanism import DEFAULT_ROUND_LIMIT, ScriptedLottery, SeededLottery, run_mapr
 from .model import (
     DUMMY,
     Allocation,
@@ -171,14 +171,19 @@ def _rationing_from_zeros(economy, zeros):
     return rationing
 
 
+def _at_least_one(limit: int, flag: str) -> int:
+    if limit < 1:
+        raise CliError(f"LimitBelowOne: {flag}: {limit} is below 1")
+    return limit
+
+
 def _node_limit(args) -> int:
-    if args.node_limit < 1:
-        raise CliError(f"LimitBelowOne: --node-limit: {args.node_limit} is below 1")
-    return args.node_limit
+    return _at_least_one(args.node_limit, "--node-limit")
 
 
 def _cmd_run(args) -> int:
     economy = _load(args.economy)
+    round_limit = _at_least_one(args.round_limit, "--round-limit")
     if args.seed is not None and args.scripted_winners is not None:
         raise CliError("UsageError: --seed and --scripted-winners are mutually exclusive")
     if args.scripted_winners is not None:
@@ -190,7 +195,7 @@ def _cmd_run(args) -> int:
     else:
         policy = SeededLottery(args.seed if args.seed is not None else 0)
     try:
-        outcome = run_mapr(economy, policy)
+        outcome = run_mapr(economy, policy, round_limit)
     except ScriptError as exc:
         raise CliError(f"ScriptError: --scripted-winners: {exc}") from None
     if args.format == "json":
@@ -340,6 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated winner per lottery, e.g. 2 or 2,4",
     )
     p.add_argument("--format", choices=("table", "json"), default="table")
+    p.add_argument(
+        "--round-limit", type=_int_flag("--round-limit"), default=DEFAULT_ROUND_LIMIT
+    )
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("check", help="verify an equilibrium tuple")

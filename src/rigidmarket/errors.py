@@ -52,5 +52,16 @@ class SizeGuard(ValueError):
     """An exhaustive search was asked to cover too large a space."""
 
 
+class RoundLimitExceeded(SizeGuard):
+    """A run needed more rounds than its round limit allows.
+
+    ``rounds`` is the count at which the run stopped: one past the limit.
+    """
+
+    def __init__(self, message, rounds):
+        super().__init__(message)
+        self.rounds = rounds
+
+
 class NotTwoBuyers(ValueError):
     """Two-buyer case analysis was applied to a different market size."""

@@ -53,6 +53,7 @@ sale credits weighted by it, and builds one
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -62,6 +63,7 @@ from .errors import TreeSizeExceeded
 from .matching import Matching
 from .mechanism import (
     MechanismState,
+    _check_limit,
     apply_sale,
     complete_run,
     gate,
@@ -69,15 +71,9 @@ from .mechanism import (
     price_increase_step,
     refresh_demands,
 )
-from .model import Allocation, Economy, RationingSystem, _is_int
+from .model import Allocation, Economy, RationingSystem
 
 DEFAULT_NODE_LIMIT = 1_000_000
-
-
-def _check_limit(name: str, limit) -> None:
-    """A size limit is an integer; a ``bool`` or ``float`` is a ``ValueError``."""
-    if not _is_int(limit):
-        raise ValueError(f"NonIntegerEntry: {name} must be an integer, got {limit!r}")
 
 
 def sold_matching_from_rationing(rationing: RationingSystem, n_items: int) -> Matching:
@@ -127,7 +123,7 @@ def _walk_lottery_tree(
     economy: Economy,
     node_limit: int,
     payoff: Callable[[MechanismState], Sequence[int]],
-    credit: Callable[[int, int], Sequence[int]],
+    credit: Callable[[int, int], tuple[int, int]],
     manipulator: Optional[int] = None,
 ) -> tuple[tuple[Fraction, ...], int, int, list]:
     """Expected ``payoff`` over the lottery tree: (value, nodes, leaves, transcript).
@@ -149,8 +145,9 @@ def _walk_lottery_tree(
     ``payoff`` of the settled state to the sums.  A raise hands mass and
     count to its :func:`price_increase_step` child.  A lottery of ``k``
     entrants hands each winner's :func:`apply_sale` child the share
-    ``mass // k``, and adds the share times ``credit(item, winner)`` to
-    the sums.  The share is exact: a history draws at most ``min(n, m)``
+    ``mass // k``; ``credit(item, winner)`` names one column and an
+    amount, and the share times that amount is added to that column
+    alone.  The share is exact: a history draws at most ``min(n, m)``
     lotteries of at most ``n`` entrants, and the histories that meet at a
     market have all drawn one lottery per sold item.  A child state is
     built only when its market is new.  The value is the sums over the
@@ -175,14 +172,9 @@ def _walk_lottery_tree(
     # answer, so the answer map costs it more than it saves
     answers = {} if manipulator is None else None
     transcript: list = []
-    total: list[int] = []
+    # column -> weighted sum; every leaf adds all of its columns
+    total: defaultdict[int, int] = defaultdict(int)
     nodes = leaves = 0
-
-    def add(weight: int, vector: Sequence[int]) -> None:
-        if not total:
-            total.extend([0] * len(vector))
-        for k, v in enumerate(vector):
-            total[k] += weight * v
 
     root = initial_state(economy)
     # rank -> {market key: [representative state, mass, path count]}; a
@@ -213,7 +205,8 @@ def _walk_lottery_tree(
             x_min, item, entrants = gate(economy, settled)
             if x_min is None:
                 leaves += paths
-                add(mass, payoff(settled))
+                for k, v in enumerate(payoff(settled)):
+                    total[k] += mass * v
             elif item is None:
                 raised = list(prices)
                 for a in x_min:
@@ -225,7 +218,8 @@ def _walk_lottery_tree(
                 share = mass // len(entrants)
                 sold_items = sold_items | {item}
                 for winner in entrants:
-                    add(share, credit(item, winner))
+                    column, amount = credit(item, winner)
+                    total[column] += share * amount
                     if winner == manipulator:
                         nodes += paths
                         leaves += paths
@@ -236,7 +230,8 @@ def _walk_lottery_tree(
                 raise TreeSizeExceeded(
                     f"lottery tree exceeded {node_limit} nodes", nodes=max(node_limit, 0) + 1
                 )
-    return tuple(Fraction(s, scale) for s in total), nodes, leaves, transcript
+    value = tuple(Fraction(total[k], scale) for k in range(len(total)))
+    return value, nodes, leaves, transcript
 
 
 def expected_values(
@@ -257,7 +252,6 @@ def expected_values(
     n = economy.n_buyers
     valuations = economy.valuations
     caps = economy.upper_bounds
-    width = n + economy.n_items + 1
 
     def payoff(state: MechanismState) -> list[int]:
         prices = state.prices
@@ -267,10 +261,8 @@ def expected_values(
             profits[i - 1] = valuations[i - 1][a] - prices[a]
         return profits + list(prices) + [1]
 
-    def credit(item: int, winner: int) -> list[int]:
-        gain = [0] * width
-        gain[winner - 1] = valuations[winner - 1][item] - caps[item]
-        return gain
+    def credit(item: int, winner: int) -> tuple[int, int]:
+        return winner - 1, valuations[winner - 1][item] - caps[item]
 
     value, nodes, leaves, _ = _walk_lottery_tree(economy, node_limit, payoff, credit)
     mass = value[-1]

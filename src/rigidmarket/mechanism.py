@@ -32,12 +32,20 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Protocol, Sequence
 
-from .errors import NoEntrants, ScriptError, UpperBoundViolation
+from .errors import NoEntrants, RoundLimitExceeded, ScriptError, UpperBoundViolation
 from .matching import (
     Matching, build_graph, matching_to_allocation, max_matching, maximum_matching, unserved
 )
 from .model import Allocation, Economy, RationingSystem, _is_int, settled_demand
 from .overdemand import mods
+
+DEFAULT_ROUND_LIMIT = 1_000_000
+
+
+def _check_limit(name: str, limit) -> None:
+    """A size limit is an integer; a ``bool`` or ``float`` is a ``ValueError``."""
+    if not _is_int(limit):
+        raise ValueError(f"NonIntegerEntry: {name} must be an integer, got {limit!r}")
 
 
 @dataclass(frozen=True)
@@ -223,10 +231,13 @@ def price_increase_step(
     """
     if not x_min:
         raise ValueError("price increase needs a nonempty item set")
+    caps = economy.upper_bounds
+    raised = list(state.prices)
     for a in x_min:
-        if state.prices[a] >= economy.upper_bounds[a]:
+        if raised[a] >= caps[a]:
             raise UpperBoundViolation(f"item {a} is already at its upper bound")
-    prices = tuple(p + 1 if a in x_min else p for a, p in enumerate(state.prices))
+        raised[a] += 1
+    prices = tuple(raised)
     active = frozenset(i for i, d in state.demands.items() if not x_min.isdisjoint(d))
     return MechanismState(prices, state.sold, state.rationing, active, state.demands)
 
@@ -476,7 +487,11 @@ class _TraceRows:
 
     Between rounds most buyers keep both their permission row and their
     demand report, so each cell is cached against the value of its
-    source set.
+    source set.  Whole columns are reused by identity: the ``u_sets``
+    column while ``state.rationing`` is the same object as at the last
+    row (a round with no strike keeps it), and ``sold_buyers`` and
+    ``sold_items`` while ``state.sold`` is the same ``Matching`` (only a
+    sale replaces it).
     """
 
     def __init__(self, economy: Economy):
@@ -484,16 +499,24 @@ class _TraceRows:
         self._buyers = economy.buyers
         self._u_cell = _Memo(lambda allowed: tuple(a for a in items if a not in allowed))
         self._d_cell = _Memo(lambda report: None if report is None else tuple(sorted(report)))
+        self._rationing = self._sold = None
 
     def row(self, state: MechanismState, label: str, x_min, lottery) -> TraceRow:
+        if state.rationing is not self._rationing:
+            self._rationing = state.rationing
+            self._u_sets = tuple(map(self._u_cell.__getitem__, state.rationing.allowed))
+        if state.sold is not self._sold:
+            self._sold = state.sold
+            self._sold_buyers = tuple(sorted(state.sold.buyer_to_item))
+            self._sold_items = tuple(sorted(state.sold.item_to_buyer))
         return TraceRow(
             label=label,
             prices=state.prices,
             x_min=tuple(sorted(x_min)),
-            u_sets=tuple(map(self._u_cell.__getitem__, state.rationing.allowed)),
-            sold_buyers=tuple(sorted(state.sold.buyer_to_item)),
+            u_sets=self._u_sets,
+            sold_buyers=self._sold_buyers,
             demands=tuple(map(self._d_cell.__getitem__, map(state.demands.get, self._buyers))),
-            sold_items=tuple(sorted(state.sold.item_to_buyer)),
+            sold_items=self._sold_items,
             lottery=lottery,
         )
 
@@ -511,14 +534,25 @@ def complete_run(economy: Economy, state: MechanismState) -> Allocation:
     return matching_to_allocation(final, economy.n_buyers)
 
 
-def run_mapr(economy: Economy, policy: Optional[LotteryPolicy] = None) -> MaprOutcome:
+def run_mapr(
+    economy: Economy,
+    policy: Optional[LotteryPolicy] = None,
+    round_limit: int = DEFAULT_ROUND_LIMIT,
+) -> MaprOutcome:
     """Run the mechanism to termination and record a full trace.
 
     ``policy`` resolves lottery draws (default: seed-0 randomness).
     Terminates within ``economy.bound_spread()`` price-increase rounds
     plus one lottery per real item; the result tuple satisfies all five
     equilibrium conditions.
+
+    A run that needs more than ``round_limit`` rounds (trace rows) stops
+    with :class:`RoundLimitExceeded` before the first round past the
+    limit is played; its ``rounds`` is ``round_limit + 1`` (1 for a
+    negative limit).  A ``round_limit`` that is not an integer is a
+    ``ValueError``.
     """
+    _check_limit("round_limit", round_limit)
     if policy is None:
         policy = SeededLottery(0)
     state = initial_state(economy)
@@ -528,6 +562,10 @@ def run_mapr(economy: Economy, policy: Optional[LotteryPolicy] = None) -> MaprOu
 
     max_rounds = economy.bound_spread() + economy.n_items + 1
     for t in range(max_rounds):
+        if t >= round_limit:
+            raise RoundLimitExceeded(
+                f"run exceeded {round_limit} rounds", rounds=max(round_limit, 0) + 1
+            )
         state = refresh_demands(economy, state)
         x_min, item, entrants = gate(economy, state)
         label = ".".join([str(t)] + branch)

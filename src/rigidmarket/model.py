@@ -15,7 +15,7 @@ across concurrent tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import EconomyValidationError
 
@@ -293,7 +293,7 @@ def demand_set(economy, prices, rationing: RationingSystem, buyer: int) -> froze
 
 
 def settled_demand(
-    values, prices, allowed: frozenset[int], sold: Container[int]
+    values, prices, allowed: frozenset[int], sold: Collection[int]
 ) -> tuple[frozenset[int], frozenset[int]]:
     """A buyer's permission row and demand once its demand holds no sold item.
 
@@ -303,21 +303,28 @@ def settled_demand(
     report holds none ends at the best net benefit over the unsold
     allowed items (the dummy is always allowed and never sold, so there
     is one).  The demand is the unsold items at that best, and the struck
-    items are the sold allowed items at least as good.  When nothing is
+    items are the sold allowed items at least as good.
+
+    One pass over ``allowed`` finds that best and the demand together.
+    Only a non-empty ``sold`` can strike, and then the sold items, not
+    ``allowed``, are scanned for the struck ones.  When nothing is
     struck, ``allowed`` itself is returned.
     """
-    best = max(values[a] - prices[a] for a in allowed if a not in sold)
-    struck: list[int] = []
+    best = None
     demand: list[int] = []
     for a in allowed:
-        net = values[a] - prices[a]
         if a in sold:
-            if net >= best:
-                struck.append(a)
+            continue
+        net = values[a] - prices[a]
+        if best is None or net > best:
+            best = net
+            demand = [a]
         elif net == best:
             demand.append(a)
-    if struck:
-        allowed = allowed.difference(struck)
+    if sold:
+        struck = [a for a in sold if a in allowed and values[a] - prices[a] >= best]
+        if struck:
+            allowed = allowed.difference(struck)
     return allowed, frozenset(demand)
 
 

@@ -8,6 +8,14 @@ from an unserved buyer by alternating between demanded items and their
 current holders, then filters it down to a minimal over-demanded set.
 It returns the empty set when every demander is served.
 
+The filter asks, for each candidate set, whether the buyers confined to
+it (demanding only items inside it) can all be matched inside it.  By
+Hall's marriage theorem (Hall 1935) that is a question about counts
+over subsets, and two cases need no matching at all: with no confined
+buyer every one is served, and with more confined buyers than candidate
+items not all of them can be, since each item serves at most one.  Only
+the remaining cases build a matching.
+
 Demand sets come as a mapping from buyer to demand set.  Both stages
 follow fixed orders (lowest unmatched buyer as seed, items scanned in
 ascending index), so the result is a deterministic function of the
@@ -84,14 +92,24 @@ def mods(demands: Mapping[int, frozenset[int]]) -> frozenset[int]:
     Filters the grown set one item at a time, in ascending item index:
     an item is kept exactly when dropping it would let all buyers
     confined to the remaining candidate set be matched inside it.
+
+    Only buyers whose demand lies inside the grown set can be confined
+    to a candidate, so they are picked out once.  Hall's theorem settles
+    two cases by counting: no confined buyer means the item is kept, and
+    more confined buyers than candidate items means it is dropped.  Only
+    the other cases ask :func:`max_matching`, so the set is the one the
+    plain filter, one matching per item, picks.
     """
     grown, _ = grow_over_demanded(demands)
+    inside = {i: d for i, d in demands.items() if d <= grown}
     x_min: set[int] = set()
     rest = set(grown)
     for a in sorted(grown):
         rest.discard(a)
         candidate = x_min | rest
-        confined = {i: d for i, d in demands.items() if d <= candidate}
-        if len(max_matching(confined)) == len(confined):
+        confined = {i: d for i, d in inside.items() if d <= candidate}
+        if len(confined) > len(candidate):
+            continue
+        if not confined or len(max_matching(confined)) == len(confined):
             x_min.add(a)
     return frozenset(x_min)

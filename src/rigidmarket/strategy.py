@@ -42,11 +42,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotTwoBuyers, SizeGuard
-from .mechanism import rm
+from .mechanism import _check_limit, rm
 from .model import (
     DUMMY, Economy, RationingSystem, _check_buyer, _is_int, demand_set, settled_demand
 )
-from .expectation import DEFAULT_NODE_LIMIT, _check_limit, _walk_lottery_tree, expected_values
+from .expectation import DEFAULT_NODE_LIMIT, _walk_lottery_tree, expected_values
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
 
@@ -124,7 +124,7 @@ def _true_profit_of_run(
         return (true_row[item] - state.prices[item],)
 
     def credit(item, winner):
-        return (true_row[item] - caps[item] if winner == manipulator else 0,)
+        return 0, true_row[item] - caps[item] if winner == manipulator else 0
 
     (profit,), _, _, transcript = _walk_lottery_tree(
         economy, node_limit, payoff, credit, manipulator

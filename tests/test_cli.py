@@ -13,6 +13,7 @@ from hypothesis import given
 
 from rigidmarket.cli import build_parser, main
 from rigidmarket.expectation import DEFAULT_NODE_LIMIT
+from rigidmarket.mechanism import DEFAULT_ROUND_LIMIT
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = SCRIPTS.parent / "src"
@@ -392,6 +393,8 @@ def test_expected_values_beyond_the_float_range_print_as_decimals(capsys, tmp_pa
         (["manipulate", "--node-limit", "0"], "LimitBelowOne: --node-limit: 0 is below 1"),
         (["matching", "--forbid", "1:o"], "DummyForbidden: buyer 1 cannot be refused"),
         (["expect", "--node-limit", "abc"], "NonIntegerEntry: --node-limit: 'abc' is not"),
+        (["run", "--round-limit", "0"], "LimitBelowOne: --round-limit: 0 is below 1"),
+        (["run", "--round-limit", "x"], "NonIntegerEntry: --round-limit: 'x' is not"),
         (["run", "--seed", "x"], "NonIntegerEntry: --seed: 'x' is not an integer"),
         (["manipulate", "--buyer", "x"], "NonIntegerEntry: --buyer: 'x' is not an integer"),
         (["manipulate", "--cap", "x"], "NonIntegerEntry: --cap: 'x' is not an integer"),
@@ -420,6 +423,8 @@ def test_expected_values_beyond_the_float_range_print_as_decimals(capsys, tmp_pa
         "manipulate_node_limit",
         "forbid_dummy",
         "node_limit_not_integer",
+        "round_limit_below_one",
+        "round_limit_not_integer",
         "seed_not_integer",
         "buyer_not_integer",
         "cap_not_integer",
@@ -456,6 +461,17 @@ def test_usage_errors_exit_one_and_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exited:
         main(["run", "--help"])
     assert exited.value.code == 0
+
+
+def test_run_stops_past_its_round_limit(capsys, data_dir):
+    path = str(data_dir / "example_market.json")
+    code, out, err = run_cli(capsys, "run", path, "--seed", "0", "--round-limit", "6")
+    assert (code, out) == (2, "")
+    assert err == "run exceeded 6 rounds\n"
+    code, out, _ = run_cli(capsys, "run", path, "--seed", "0", "--round-limit", "7")
+    assert code == 0
+    assert out == run_cli(capsys, "run", path, "--seed", "0")[1]
+    assert build_parser().parse_args(["run", "x.json"]).round_limit == DEFAULT_ROUND_LIMIT
 
 
 def test_node_limit_defaults_share_one_constant():
@@ -599,6 +615,7 @@ def tuple_documents(draw, n, m):
 SUBCOMMANDS = (
     ["run"],
     ["run", "--format", "json"],
+    ["run", "--round-limit", "2"],
     ["check", "--tuple"],
     ["expect", "--histories", "--node-limit", "500"],
     ["manipulate", "--cap", "2", "--node-limit", "500"],

@@ -12,6 +12,7 @@ from rigidmarket import (
     MechanismState,
     NoEntrants,
     RationingSystem,
+    RoundLimitExceeded,
     ScriptError,
     ScriptedLottery,
     SeededLottery,
@@ -415,6 +416,34 @@ def test_script_errors():
         run_mapr(economy, ScriptedLottery([7]))
     with pytest.raises(ScriptError):
         run_mapr(economy, ScriptedLottery([1, 1]))
+
+
+def test_round_limit_stops_a_run_one_round_past_it(market):
+    rounds = len(run_mapr(market, ScriptedLottery([2])).trace.rows)
+    assert rounds == 7
+    with pytest.raises(RoundLimitExceeded, match="^run exceeded 6 rounds$") as stopped:
+        run_mapr(market, ScriptedLottery([2]), round_limit=rounds - 1)
+    assert stopped.value.rounds == rounds
+    exact = run_mapr(market, ScriptedLottery([2]), round_limit=rounds)
+    assert exact.trace == run_mapr(market, ScriptedLottery([2])).trace
+    for limit in (0, -3):
+        with pytest.raises(RoundLimitExceeded) as stopped:
+            run_mapr(market, round_limit=limit)
+        assert stopped.value.rounds == 1
+    for limit in (6.0, True, None):
+        with pytest.raises(ValueError, match="^NonIntegerEntry: round_limit"):
+            run_mapr(market, round_limit=limit)
+
+
+@settings(max_examples=60)
+@given(economies(), st.integers(0, 3))
+def test_round_limit_at_the_round_count_passes_and_one_below_stops(economy, seed):
+    trace = run_mapr(economy, SeededLottery(seed)).trace
+    rounds = len(trace.rows)
+    assert run_mapr(economy, SeededLottery(seed), round_limit=rounds).trace == trace
+    with pytest.raises(RoundLimitExceeded) as stopped:
+        run_mapr(economy, SeededLottery(seed), round_limit=rounds - 1)
+    assert stopped.value.rounds == rounds
 
 
 @pytest.mark.parametrize("winner", [2.0, True, "2"], ids=["float", "bool", "str"])

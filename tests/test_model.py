@@ -1,5 +1,6 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -15,6 +16,7 @@ from rigidmarket import (
     is_admissible,
     validate_economy,
 )
+from rigidmarket.model import settled_demand
 
 from strategies import make_economy, markets
 
@@ -213,3 +215,34 @@ def test_json_schema_roundtrip(tmp_path, market, data_dir):
     path.write_text(json.dumps({"items": ["a"], "buyers": 2, "valuations": [[1]]}))
     with pytest.raises(EconomyValidationError):
         economy_from_dict(json.loads(path.read_text()))
+
+
+def strike_loop(economy, prices, rationing, buyer, sold):
+    """Independent oracle: report, forbid the sold items of the report, repeat."""
+    while True:
+        demand = demand_set(economy, prices, rationing, buyer)
+        hit = [a for a in demand if a in sold]
+        if not hit:
+            return rationing.allowed[buyer - 1], demand
+        for a in hit:
+            rationing = rationing.forbid(buyer, a)
+
+
+@given(markets(), st.data())
+def test_settled_demand_is_the_end_of_the_strike_loop(case, data):
+    economy, prices, rationing = case
+    items = sorted(data.draw(st.sets(st.sampled_from(list(economy.real_items)))))
+    sold_forms = [
+        {a: economy.n_buyers for a in items},  # a Matching's item_to_buyer
+        frozenset(items),
+        {},
+        frozenset(),
+    ]
+    for i in economy.buyers:
+        allowed = rationing.allowed[i - 1]
+        for sold in sold_forms:
+            want = strike_loop(economy, prices, rationing, i, sold)
+            got = settled_demand(economy.valuations[i - 1], prices, allowed, sold)
+            assert got == want
+            if got[0] == allowed:
+                assert got[0] is allowed

@@ -1,10 +1,12 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidmarket import (
     DummyInSet,
+    SeededLottery,
     equilibrium_allocation_exists,
     grow_over_demanded,
     is_not_under_demanded,
@@ -13,9 +15,10 @@ from rigidmarket import (
     minimal_over_demanded_sets,
     mods,
     over_demanded_sets,
+    run_mapr,
 )
 
-from strategies import demand_situations
+from strategies import demand_situations, economies
 
 
 def contested_situation():
@@ -137,3 +140,35 @@ def test_fully_demanded_sets_are_matchable(situation):
                 for sub in map(frozenset, combinations(combo, k))
             ):
                 assert len(matched) >= size
+
+
+def plain_filter(demands):
+    """The filter with one maximum matching per grown item and no counting shortcut."""
+    grown, _ = grow_over_demanded(demands)
+    x_min = set()
+    rest = set(grown)
+    for a in sorted(grown):
+        rest.discard(a)
+        candidate = x_min | rest
+        confined = {i: d for i, d in demands.items() if d <= candidate}
+        if len(max_matching(confined)) == len(confined):
+            x_min.add(a)
+    return frozenset(x_min)
+
+
+def row_demands(row):
+    """The settled demands of a trace row, by unsold buyer."""
+    return {i: frozenset(d) for i, d in enumerate(row.demands, start=1) if d is not None}
+
+
+@given(demand_situations())
+def test_mods_is_the_set_the_plain_filter_picks(situation):
+    assert mods(situation) == plain_filter(situation)
+
+
+@settings(max_examples=60)
+@given(economies(), st.integers(0, 3))
+def test_mods_is_the_plain_filter_on_every_round_of_a_run(economy, seed):
+    for row in run_mapr(economy, SeededLottery(seed)).trace.rows:
+        demands = row_demands(row)
+        assert mods(demands) == plain_filter(demands) == frozenset(row.x_min)
