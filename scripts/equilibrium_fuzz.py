@@ -9,8 +9,11 @@ that each buyer's truthful ``expected_profit_under_strategy`` equals its
 profit in that sum.  On every round of one seeded run per economy it
 checks that ``mods`` picks the same set as the plain filter (one
 maximum matching per grown item, no counting shortcut) and that a
-non-empty answer is among ``minimal_over_demanded_sets``.  Prints a
-summary (and any counterexample immediately).
+non-empty answer is among ``minimal_over_demanded_sets``; a seeded run
+that raises is a mismatch too.  On every terminal tuple it also checks
+that each buyer without a lottery win holds every item less the sold
+items that net at least its best unsold net benefit.  Prints a summary
+(and any counterexample immediately).
 
 Usage: python scripts/equilibrium_fuzz.py [--count 500] [--seed 0]
 """
@@ -45,8 +48,15 @@ def plain_filter(demands):
 
 
 def mods_mismatches(economy, seed):
-    """Rounds of one seeded run where ``mods`` leaves the plain filter or minimality."""
-    rows = run_mapr(economy, SeededLottery(seed)).trace.rows
+    """What went wrong in one seeded run's ``mods`` calls, or None, and the rounds played.
+
+    A round is wrong where ``mods`` leaves the plain filter or
+    minimality, and a run that raises is wrong as a whole.
+    """
+    try:
+        rows = run_mapr(economy, SeededLottery(seed)).trace.rows
+    except Exception as error:
+        return f"the run raised {type(error).__name__}: {error}", 0
     bad = 0
     for row in rows:
         demands = {i: frozenset(d) for i, d in enumerate(row.demands, 1) if d is not None}
@@ -55,7 +65,25 @@ def mods_mismatches(economy, seed):
             x_min and x_min not in minimal_over_demanded_sets(demands)
         ):
             bad += 1
-    return bad, len(rows)
+    return (f"{bad} of {len(rows)} rounds" if bad else None), len(rows)
+
+
+def stray_row(economy, leaf):
+    """The first buyer without a lottery win whose row is not its settled row, or None.
+
+    That row is every item less the sold items (the lottery winners'
+    items) that net at least the buyer's best unsold net benefit.
+    """
+    sold = {leaf.allocation.item_of(w) for w in leaf.winners}
+    for i in economy.buyers:
+        if i in leaf.winners:
+            continue
+        values = economy.valuations[i - 1]
+        best = max(values[a] - leaf.prices[a] for a in economy.items if a not in sold)
+        struck = {a for a in sold if values[a] - leaf.prices[a] >= best}
+        if leaf.rationing.allowed[i - 1] != frozenset(economy.items) - struck:
+            return i
+    return None
 
 
 def main():
@@ -77,8 +105,8 @@ def main():
         economy = random_economy(rng, n, m)
         bad, played = mods_mismatches(economy, k)
         rounds += played
-        if bad:
-            print(f"MODS MISMATCH at instance {k}: {bad} of {played} rounds (lottery seed {k})")
+        if bad is not None:
+            print(f"MODS MISMATCH at instance {k}: {bad} (lottery seed {k})")
             print(f"  valuations: {[list(r[1:]) for r in economy.valuations]}")
             print(f"  bounds: {list(economy.lower_bounds[1:])} .. {list(economy.upper_bounds[1:])}")
             return 1
@@ -89,8 +117,12 @@ def main():
             continue
         for leaf in leaves:
             certificate = check_cwe(economy, leaf.prices, leaf.rationing, leaf.allocation)
-            if not certificate.ok:
-                print(f"COUNTEREXAMPLE at instance {k}: {certificate.failures()}")
+            failures = certificate.failures()
+            stray = stray_row(economy, leaf)
+            if stray is not None:
+                failures += (("unsold rows strike the sold items at their best", (stray,)),)
+            if failures:
+                print(f"COUNTEREXAMPLE at instance {k}: {failures}")
                 print(f"  valuations: {[list(r[1:]) for r in economy.valuations]}")
                 print(f"  bounds: {list(economy.lower_bounds[1:])} .. {list(economy.upper_bounds[1:])}")
                 print(f"  winners: {leaf.winners}")
@@ -114,7 +146,8 @@ def main():
             return 1
         compared += 1
         buyers += economy.n_buyers
-    print(f"{args.count - skipped} economies, {histories} histories, all equilibria"
+    print(f"{args.count - skipped} economies, {histories} histories, all equilibria with"
+          " settled rows"
           f" ({skipped} skipped as too branchy); expected values agree on {compared} economies,"
           f" truthful strategy profits on {buyers} buyers; mods mismatches: 0 over"
           f" {rounds} rounds of seeded runs")

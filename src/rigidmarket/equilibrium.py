@@ -32,6 +32,11 @@ CONDITION_NAMES = (
     "rationing only hides items that would be demanded",
 )
 
+# the oracles refuse instances past these sizes: buyer-item cells for
+# the allocation search, demanded items for the subset enumeration
+ALLOCATION_SEARCH_CELLS = 25
+SUBSET_SEARCH_ITEMS = 15
+
 
 @dataclass(frozen=True)
 class ConditionVerdict:
@@ -116,16 +121,16 @@ def _demanded_items(demands: Mapping[int, frozenset[int]]) -> frozenset[int]:
 
 
 def brute_force_equilibrium_allocation(
-    demands: Mapping[int, frozenset[int]], guard: int = 25
+    demands: Mapping[int, frozenset[int]]
 ) -> Optional[Allocation]:
     """Exhaustive search for an allocation serving every real-item demander.
 
     Returns one such allocation (buyers content with the dummy keep the
-    dummy) or None.  Guarded: refuses instances with more than ``guard``
-    buyer-item cells.
+    dummy) or None.  Guarded: refuses instances with more than
+    ``ALLOCATION_SEARCH_CELLS`` buyer-item cells.
     """
     universe = _demanded_items(demands)
-    if len(demands) * (len(universe) + 1) > guard:
+    if len(demands) * (len(universe) + 1) > ALLOCATION_SEARCH_CELLS:
         raise SizeGuard("instance too large for exhaustive allocation search")
 
     demanders = sorted(i for i, d in demands.items() if DUMMY not in d)
@@ -153,17 +158,16 @@ def brute_force_equilibrium_allocation(
     return Allocation(tuple(chosen.get(i, DUMMY) for i in range(1, n + 1)))
 
 
-def over_demanded_sets(
-    demands: Mapping[int, frozenset[int]], guard: int = 15
-) -> list[frozenset[int]]:
+def over_demanded_sets(demands: Mapping[int, frozenset[int]]) -> list[frozenset[int]]:
     """All over-demanded subsets of the demanded items, by direct counting.
 
     Exponential; intended as a test oracle only.  Any over-demanded set
     restricted to demanded items stays over-demanded, so the enumeration
     over demanded items is exhaustive for existence and minimality.
+    More than ``SUBSET_SEARCH_ITEMS`` demanded items is a :class:`SizeGuard`.
     """
     items = sorted(_demanded_items(demands))
-    if len(items) > guard:
+    if len(items) > SUBSET_SEARCH_ITEMS:
         raise SizeGuard("too many items for subset enumeration")
     found = []
     for size in range(1, len(items) + 1):
@@ -174,8 +178,6 @@ def over_demanded_sets(
     return found
 
 
-def minimal_over_demanded_sets(
-    demands: Mapping[int, frozenset[int]], guard: int = 15
-) -> list[frozenset[int]]:
-    sets = over_demanded_sets(demands, guard)
+def minimal_over_demanded_sets(demands: Mapping[int, frozenset[int]]) -> list[frozenset[int]]:
+    sets = over_demanded_sets(demands)
     return [s for s in sets if not any(t < s for t in sets)]

@@ -22,8 +22,8 @@ it.
 :func:`expected_values` plays each residual market once, in one forward
 pass.  Strikes only ever remove sold items, so an unsold buyer's
 permission row less the sold items is always the set of unsold items,
-and its settled demand depends only on the prices and the sold item
-set.  So does everything the rest of a history does, once each lottery
+and its settled row and demand depend only on its values, the prices
+and the sold item set.  So does everything the rest of a history does, once each lottery
 winner's profit (value less cap) is credited at its sale: the subtree
 below a round is fixed by its residual market, (prices, sold item set,
 sold buyer set), whoever holds which item.  Each pending market holds
@@ -32,9 +32,10 @@ the histories that reach it.  Every step raises the number of sold
 items plus the sum of prices, so the pass plays markets in that order
 and meets each one after all the markets that lead to it.  A leaf
 scores each unsold buyer from its settled demand: value less price of
-any item in it.  Within one pass an answer map lets
-:func:`refresh_demands` compute a buyer's settlement at the same prices,
-sold items and permission row once.
+any item in it.  The markets that share prices and sold items share a
+rank, so the pass keeps one answer table per (prices, sold item set)
+while it plays a rank, and :func:`refresh_demands` settles each buyer
+once per table, whichever buyers hold the sold items.
 
 The two routes differ in how leaves are scored and in whether histories
 that meet are merged, so their agreement, which the tests check in
@@ -139,10 +140,11 @@ def _walk_lottery_tree(
     is played after all of its parents, with its whole mass.
 
     Playing a market adds its count to the nodes.
-    :func:`refresh_demands` settles it, with a per-walk answer map unless
-    there is a ``manipulator``, and :func:`gate` decides it.  A settled
-    market is a leaf: it adds its count to the leaves and its mass times
-    ``payoff`` of the settled state to the sums.  A raise hands mass and
+    :func:`refresh_demands` settles it with the answer table of its
+    prices and sold item set, kept only while its rank is played, and
+    :func:`gate` decides it.  A settled market is a leaf: it adds its
+    count to the leaves and its mass times ``payoff`` of the settled
+    state to the sums.  A raise hands mass and
     count to its :func:`price_increase_step` child.  A lottery of ``k``
     entrants hands each winner's :func:`apply_sale` child the share
     ``mass // k``; ``credit(item, winner)`` names one column and an
@@ -156,10 +158,9 @@ def _walk_lottery_tree(
     A ``manipulator``'s win ends its branch, as one node and one leaf per
     path, so ``credit`` must pay her profit at the sale.  The transcript
     lists, in pass order, one ``(query, answer)`` pair per market where
-    she reports: the query is her
-    :func:`~rigidmarket.model.settled_demand` arguments less her value
-    row (prices, permission row, sold item set), the answer her settled
-    permission row and demand.
+    she reports: the query is (prices, sold item set), on which her
+    settlement depends besides her value row, and the answer her settled
+    demand.
 
     Once the nodes counted pass ``node_limit``, the walk raises
     :class:`TreeSizeExceeded` after the market it is playing, with
@@ -168,9 +169,6 @@ def _walk_lottery_tree(
     """
     n = economy.n_buyers
     scale = lcm(*range(1, n + 1)) ** min(n, economy.n_items - 1)
-    # a strategy walk plays a handful of markets and seldom repeats an
-    # answer, so the answer map costs it more than it saves
-    answers = {} if manipulator is None else None
     transcript: list = []
     # column -> weighted sum; every leaf adds all of its columns
     total: defaultdict[int, int] = defaultdict(int)
@@ -193,15 +191,14 @@ def _walk_lottery_tree(
 
     while pending:
         rank = min(pending)
+        # (prices, sold item set) -> buyer -> settled answer; every market
+        # at those prices and sold items has this rank
+        answers: dict = {}
         for (prices, sold_items, sold_buyers), (state, mass, paths) in pending.pop(rank).items():
             nodes += paths
-            settled = refresh_demands(economy, state, answers)
+            settled = refresh_demands(economy, state, answers.setdefault((prices, sold_items), {}))
             if manipulator in state.active:
-                her = manipulator - 1
-                transcript.append((
-                    (prices, state.rationing.allowed[her], sold_items),
-                    (settled.rationing.allowed[her], settled.demands[manipulator]),
-                ))
+                transcript.append(((prices, sold_items), settled.demands[manipulator]))
             x_min, item, entrants = gate(economy, settled)
             if x_min is None:
                 leaves += paths

@@ -156,29 +156,28 @@ def refresh_demands(
     in which nobody strikes builds no :class:`RationingSystem`, and any
     other round builds one.
 
-    ``answers``, when given, is a map the caller keeps across the states
-    of one walk: under (prices, sold item set) it keeps each buyer's
-    ``settled_demand`` answer by (buyer, permission row), so a repeated
-    call is read back, not computed.  It gains at most one key per call.
+    Strikes only ever remove sold items, so an unsold buyer's permission
+    row holds every unsold item, and its settled row and demand depend
+    only on its values, the prices and the sold item set.  ``answers``
+    maps each buyer to that ``settled_demand`` answer; it must belong to
+    the state's prices and sold items, and a buyer found in it is read
+    back, not computed.  A caller that meets those prices and sold items
+    again may pass the same map; ``None`` stands for a fresh one.
     """
+    if answers is None:
+        answers = {}
     demands = dict(state.demands)
     prices = state.prices
     rationing = state.rationing
     sold = state.sold.item_to_buyer
     valuations = economy.valuations
-    table = None if answers is None else answers.setdefault((prices, frozenset(sold)), {})
     rows = None
     for i in sorted(state.active):
         allowed = rationing.allowed[i - 1]
-        if table is None:
-            row, demands[i] = settled_demand(valuations[i - 1], prices, allowed, sold)
-        else:
-            answer = table.get((i, allowed))
-            if answer is None:
-                answer = table[i, allowed] = settled_demand(
-                    valuations[i - 1], prices, allowed, sold
-                )
-            row, demands[i] = answer
+        answer = answers.get(i)
+        if answer is None:
+            answer = answers[i] = settled_demand(valuations[i - 1], prices, allowed, sold)
+        row, demands[i] = answer
         # a row is a subset of ``allowed``: an equal length means nothing
         # was struck, though a read-back row is another state's object
         if row is not allowed and len(row) != len(allowed):

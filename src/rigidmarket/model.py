@@ -60,6 +60,7 @@ class Economy:
 
     def value(self, buyer: int, item: int) -> int:
         _check_buyer(buyer, self.n_buyers)
+        _check_item(item, self.n_items)
         return self.valuations[buyer - 1][item]
 
     def item_index(self, name: str) -> int:
@@ -154,6 +155,12 @@ def _check_buyer(buyer, n_buyers: int) -> None:
     """Buyers are the integers ``1..n_buyers``; any other id (a ``bool`` too) is a ``ValueError``."""
     if not (_is_int(buyer) and 1 <= buyer <= n_buyers):
         raise ValueError(f"UnknownBuyer: no buyer {buyer!r} among 1..{n_buyers}")
+
+
+def _check_item(item, n_items: int) -> None:
+    """Items are ``0..n_items - 1``, the dummy included; any other id is a ``ValueError``."""
+    if not (_is_int(item) and 0 <= item < n_items):
+        raise ValueError(f"UnknownItem: no item {item!r} among 0..{n_items - 1}")
 
 
 def validate_economy(

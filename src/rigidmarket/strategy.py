@@ -18,20 +18,23 @@ strategy inside a value box by exhaustive enumeration.
 
 The search walks far fewer trees than it scores rows.  The walk of a
 reported economy reads the manipulator's reported row in one place
-only: her :func:`~rigidmarket.model.settled_demand` call (permission
-row and demand) at each residual market where she reports.  Everything
-else the walk does, the order in which it plays the markets included,
-reads the other buyers' rows, the price bounds and the states reached,
-and the profit is scored with her true row.  So the walk is a function
-of her answers: two rows that give the same answers, query by query,
-play the same markets and score the same profit.  A query is that
-call's arguments less her row: prices, permission row and sold items.
-One search keeps a trie of the answer transcripts it has met
+only: her :func:`~rigidmarket.model.settled_demand` call at each
+residual market where she reports.  Of its answer, only her demand
+steers the walk: her permission row is every item less the sold items
+at least as good as her demand, a record that no decision reads.
+Everything else the walk does, the order in which it plays the markets
+included, reads the other buyers' rows, the price bounds and the states
+reached, and the profit is scored with her true row.  So the walk is a
+function of her demands: two rows that give the same demands, query by
+query, play the same markets and score the same profit.  A query is
+what her settlement depends on besides her row: the prices and the sold
+item set.  One search keeps a trie of the answer transcripts it has met
 (:class:`_AnswerTrie`); a new row replays the trie by calling
-``settled_demand`` on the stored queries, and only a new answer builds
-the reported economy and walks its tree.  A walk's own answers come
-from its settled states, so it records its transcript without asking
-again.
+``settled_demand`` on the stored queries, with every item allowed, since
+any row holding every unsold item gives the same demand, and only a new
+answer builds the reported economy and walks its tree.  A walk's own
+answers come from its settled states, so it records its transcript
+without asking again.
 """
 
 from __future__ import annotations
@@ -62,9 +65,9 @@ class Strategy:
             if not _is_int(v):
                 raise ValueError(f"NonIntegerEntry: reported value for item {a} is {v!r}")
         if not self.reported_values or self.reported_values[DUMMY] != 0:
-            raise ValueError("a strategy must value the dummy item at 0")
+            raise ValueError("NonZeroDummyValuation: a strategy must value the dummy item at 0")
         if any(v < 0 for v in self.reported_values):
-            raise ValueError("reported values must be non-negative")
+            raise ValueError("NegativeEntry: reported values must be non-negative")
 
     @staticmethod
     def from_real_values(values) -> "Strategy":
@@ -86,7 +89,7 @@ class ManipulationProblem:
 
     def reported_economy(self, strategy: Strategy) -> Economy:
         if len(strategy.reported_values) != self.economy.n_items:
-            raise ValueError("strategy length does not match the economy")
+            raise ValueError("ShapeError: strategy length does not match the economy")
         return self.economy.with_valuation_row(self.manipulator, strategy.reported_values)
 
 
@@ -113,8 +116,7 @@ def _true_profit_of_run(
     leaf, where she holds nothing, the completion matching decides what
     she receives.  The transcript holds one (query, answer) pair per
     residual market where she reports (she is unsold and active there):
-    her :func:`~rigidmarket.model.settled_demand` arguments less her row,
-    and what that call returned.
+    the prices and sold item set, and her settled demand at them.
     """
     caps = economy.upper_bounds
 
@@ -197,20 +199,22 @@ def _demand_signature(row, windows):
 class _AnswerTrie:
     """Profits of one manipulator's walks, keyed by her answer transcripts.
 
-    A node is a ``(query, children)`` pair: the query, as recorded by
-    :func:`_true_profit_of_run`, and a child per answer met so far.  A
-    child is the next node of the walks that gave that answer or, when
-    the walk ends there, its exact profit.  :meth:`profit` answers the
-    stored queries with a reported row and returns the profit at the end
-    of its transcript; only when an answer has no child does it walk the
-    tree, and that walk's transcript goes into the trie.  ``full_walks``
-    counts those walks.
+    A node is a ``(query, children)`` pair: the query (prices, sold item
+    set), as recorded by :func:`_true_profit_of_run`, and a child per
+    demand met so far.  A child is the next node of the walks that gave
+    that demand or, when the walk ends there, its exact profit.
+    :meth:`profit` answers the stored queries with a reported row,
+    settling it with every item allowed, and returns the profit at the
+    end of its transcript; only when a demand has no child does it walk
+    the tree, and that walk's transcript goes into the trie.
+    ``full_walks`` counts those walks.
     """
 
     def __init__(self, economy: Economy, manipulator: int, node_limit: int):
         self.economy = economy
         self.manipulator = manipulator
         self.true_row = economy.valuations[manipulator - 1]
+        self.items = frozenset(economy.items)
         self.node_limit = node_limit
         self.root: dict = {}  # the first node, under the key None
         self.full_walks = 0
@@ -218,8 +222,8 @@ class _AnswerTrie:
     def profit(self, row) -> Fraction:
         node = self.root.get(None)
         while type(node) is tuple:
-            query, children = node
-            node = children.get(settled_demand(row, *query))
+            (prices, sold), children = node
+            node = children.get(settled_demand(row, prices, self.items, sold)[1])
         if node is None:
             return self._walk(row)
         return node
@@ -270,7 +274,7 @@ def optimal_strategy_search(
     if not _is_int(cap):
         raise ValueError(f"NonIntegerEntry: the value cap must be an integer, got {cap!r}")
     if cap < 0:
-        raise ValueError(f"the value cap must be non-negative, got {cap}")
+        raise ValueError(f"NegativeEntry: the value cap must be non-negative, got {cap}")
     m = economy.n_items - 1
     total = (cap + 1) ** m
     if total > DEFAULT_ENUMERATION_LIMIT:

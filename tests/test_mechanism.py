@@ -318,11 +318,11 @@ def test_refresh_matches_the_pass_by_pass_refresh(case):
 @settings(max_examples=60)
 @given(st.one_of(economies(), repeated_row_economies()))
 def test_refresh_with_an_answer_map_equals_the_plain_refresh(economy):
-    # one map serves every state of the lottery tree, as in a walk; each
-    # state is also refreshed as a twin whose rows are equal but other
-    # objects, so that every twin's answer is read back from the map
-    answers = {}
-    calls = 0
+    # one table per (prices, sold item set) serves every state of the
+    # lottery tree at those prices and sold items, whoever holds which
+    # item; each state is also refreshed as a twin whose rows are equal
+    # but other objects, so that every twin's answer is read back
+    tables = {}
     pending = [initial_state(economy)]
     while pending:
         state = pending.pop()
@@ -331,9 +331,9 @@ def test_refresh_with_an_answer_map_equals_the_plain_refresh(economy):
             state,
             rationing=RationingSystem(tuple(frozenset(list(r)) for r in state.rationing.allowed)),
         )
+        table = tables.setdefault((state.prices, frozenset(state.sold.item_to_buyer)), {})
         for start in (state, twin):
-            got = refresh_demands(economy, start, answers)
-            calls += 1
+            got = refresh_demands(economy, start, table)
             assert got.demands == want.demands
             assert got.rationing == want.rationing
             assert got.prices == want.prices and got.sold == want.sold
@@ -349,8 +349,30 @@ def test_refresh_with_an_answer_map_equals_the_plain_refresh(economy):
             pending.append(price_increase_step(economy, got, x_min))
             continue
         pending.extend(apply_sale(got, item, winner) for winner in entrants)
-    # at most one key per call
-    assert len(answers) <= calls
+
+
+@settings(max_examples=60)
+@given(st.one_of(economies(), repeated_row_economies()))
+def test_settled_rows_are_a_function_of_prices_and_sold_items(economy):
+    # after every refresh of the live mechanism, depth first, an unsold
+    # buyer's permission row is every item less the sold items that net
+    # at least its best unsold net benefit: the row records nothing else
+    pending = [initial_state(economy)]
+    while pending:
+        state = refresh_demands(economy, pending.pop())
+        prices, sold = state.prices, frozenset(state.sold.item_to_buyer)
+        for i in unsold_buyers(economy, state):
+            values = economy.valuations[i - 1]
+            best = max(values[a] - prices[a] for a in economy.items if a not in sold)
+            struck = {a for a in sold if values[a] - prices[a] >= best}
+            assert state.rationing.allowed[i - 1] == frozenset(economy.items) - struck
+        x_min, item, entrants = gate(economy, state)
+        if x_min is None:
+            continue
+        if item is None:
+            pending.append(price_increase_step(economy, state, x_min))
+            continue
+        pending.extend(apply_sale(state, item, winner) for winner in entrants)
 
 
 def test_refresh_builds_one_rationing_and_no_forbid_many(monkeypatch):

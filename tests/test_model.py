@@ -92,6 +92,14 @@ def test_buyer_lookups_reject_a_buyer_outside_one_to_n(buyer):
             lookup()
 
 
+@pytest.mark.parametrize("item", [-1, 5, 1.0, True])
+def test_value_rejects_an_unknown_item(market, item):
+    # -1 once read item d's value and 5 raised a bare IndexError
+    with pytest.raises(ValueError, match=f"^UnknownItem: no item {item!r} among 0..4$"):
+        market.value(1, item)
+    assert [market.value(1, a) for a in market.items] == list(market.valuations[0])
+
+
 def test_indirect_utility_running_example(market):
     prices = (0, 5, 4, 4, 7)
     rationing = RationingSystem.full(5, 5).forbid(3, 3).forbid(1, 3)

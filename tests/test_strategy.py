@@ -88,6 +88,22 @@ def test_only_existing_buyers_are_accepted(market, make, message):
         make(market)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda m: Strategy((1, 2)), "^NonZeroDummyValuation: "),
+        (lambda m: Strategy(()), "^NonZeroDummyValuation: "),
+        (lambda m: Strategy((0, -1)), "^NegativeEntry: "),
+        (lambda m: ManipulationProblem(m, 1).reported_economy(Strategy((0, 1))), "^ShapeError: "),
+        (lambda m: optimal_strategy_search(ManipulationProblem(m, 1), cap=-1), "^NegativeEntry: "),
+    ],
+    ids=["dummy_valued", "empty", "negative_value", "wrong_length", "negative_cap"],
+)
+def test_strategy_api_errors_carry_stable_codes(market, make, message):
+    with pytest.raises(ValueError, match=message):
+        make(market)
+
+
 def test_truthful_profit_running_example(market):
     problem = ManipulationProblem(market, 1)
     truthful = Strategy.truthful(market, 1)
@@ -156,9 +172,9 @@ def test_search_on_running_example_finds_the_gain(market):
     assert result.best_profit == Fraction(1, 3)  # search says 1/3 is the optimum
     assert not result.truthful_is_optimal
     assert result.strategies_evaluated == 11**4
-    # 5,551 demand signatures, but only 1,098 distinct answer transcripts
+    # 5,551 demand signatures, but only 978 distinct answer transcripts
     assert result.distinct_evaluations == 5551
-    assert result.full_walks == 1098
+    assert result.full_walks == 978
 
 
 def box_signature(economy, values):
@@ -290,9 +306,10 @@ def reporting_states(economy, manipulator):
     st.data(),
 )
 def test_walk_queries_exactly_the_states_where_she_reports(economy, data):
-    # the trie's transcript: one query per residual market (prices, sold
-    # items, sold buyers) where she is unsold and active, and no other;
-    # each answer is her settled_demand on that query
+    # the trie's transcript: one query (prices, sold items) per residual
+    # market (prices, sold items, sold buyers) where she is unsold and
+    # active, and no other; each answer is her settled demand at every
+    # state of the live mechanism in that market, whatever her row there
     row = (0, *data.draw(st.tuples(*[st.integers(0, 9)] * (economy.n_items - 1))))
     reported = economy.with_valuation_row(1, row)
     _, transcript = _true_profit_of_run(reported, economy.valuations[0], 1, 10**6)
@@ -300,13 +317,12 @@ def test_walk_queries_exactly_the_states_where_she_reports(economy, data):
     for s in reporting_states(reported, 1):
         key = (s.prices, frozenset(s.sold.item_to_buyer), frozenset(s.sold.buyer_to_item))
         rows.setdefault(key, set()).add(s.rationing.allowed[0])
-    assert Counter((prices, sold) for (prices, _, sold), _ in transcript) == Counter(
-        (prices, sold) for prices, sold, _ in rows
-    )
-    for query, answer in transcript:
-        prices, allowed, sold = query
-        assert any(allowed in r for key, r in rows.items() if key[:2] == (prices, sold))
-        assert answer == settled_demand(row, *query)
+    assert Counter(query for query, _ in transcript) == Counter(key[:2] for key in rows)
+    for (prices, sold), answer in transcript:
+        for key, allowed_rows in rows.items():
+            if key[:2] == (prices, sold):
+                for allowed in allowed_rows:
+                    assert answer == settled_demand(row, prices, allowed, sold)[1]
 
 
 def test_search_size_guard_counts_like_the_plain_walk():
