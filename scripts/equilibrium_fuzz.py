@@ -10,7 +10,10 @@ profit in that sum.  On every round of one seeded run per economy it
 checks that ``mods`` picks the same set as the plain filter (one
 maximum matching per grown item, no counting shortcut) and that a
 non-empty answer is among ``minimal_over_demanded_sets``; a seeded run
-that raises is a mismatch too.  On every terminal tuple it also checks
+that raises is a mismatch too.  Each seeded run's ``to_json_lines()``
+rows are also checked against ``json.dumps(trace.row_dict(row))``, an
+encoder independent of the one that joins the lines, and the count of
+rows that differ is printed.  On every terminal tuple it also checks
 that each buyer without a lottery win holds every item less the sold
 items that net at least its best unsold net benefit.  Prints a summary
 (and any counterexample immediately).
@@ -19,6 +22,7 @@ Usage: python scripts/equilibrium_fuzz.py [--count 500] [--seed 0]
 """
 
 import argparse
+import json
 import random
 import sys
 from pathlib import Path
@@ -47,16 +51,11 @@ def plain_filter(demands):
     return frozenset(x_min)
 
 
-def mods_mismatches(economy, seed):
-    """What went wrong in one seeded run's ``mods`` calls, or None, and the rounds played.
+def mods_mismatches(rows):
+    """What went wrong in one seeded run's ``mods`` calls, or None.
 
-    A round is wrong where ``mods`` leaves the plain filter or
-    minimality, and a run that raises is wrong as a whole.
+    A round is wrong where ``mods`` leaves the plain filter or minimality.
     """
-    try:
-        rows = run_mapr(economy, SeededLottery(seed)).trace.rows
-    except Exception as error:
-        return f"the run raised {type(error).__name__}: {error}", 0
     bad = 0
     for row in rows:
         demands = {i: frozenset(d) for i, d in enumerate(row.demands, 1) if d is not None}
@@ -65,7 +64,13 @@ def mods_mismatches(economy, seed):
             x_min and x_min not in minimal_over_demanded_sets(demands)
         ):
             bad += 1
-    return (f"{bad} of {len(rows)} rounds" if bad else None), len(rows)
+    return f"{bad} of {len(rows)} rounds" if bad else None
+
+
+def json_mismatches(trace):
+    """How many of the trace's row lines differ from ``json.dumps`` of their row dicts."""
+    lines = trace.to_json_lines()[:-1]
+    return sum(line != json.dumps(trace.row_dict(row)) for line, row in zip(lines, trace.rows))
 
 
 def stray_row(economy, leaf):
@@ -99,12 +104,19 @@ def main():
     compared = 0
     buyers = 0
     rounds = 0
+    json_bad = 0
     for k in range(args.count):
         n = rng.randint(1, 5)
         m = rng.randint(1, 4)
         economy = random_economy(rng, n, m)
-        bad, played = mods_mismatches(economy, k)
-        rounds += played
+        try:
+            trace = run_mapr(economy, SeededLottery(k)).trace
+        except Exception as error:
+            bad = f"the run raised {type(error).__name__}: {error}"
+        else:
+            bad = mods_mismatches(trace.rows)
+            rounds += len(trace.rows)
+            json_bad += json_mismatches(trace)
         if bad is not None:
             print(f"MODS MISMATCH at instance {k}: {bad} (lottery seed {k})")
             print(f"  valuations: {[list(r[1:]) for r in economy.valuations]}")
@@ -150,8 +162,9 @@ def main():
           " settled rows"
           f" ({skipped} skipped as too branchy); expected values agree on {compared} economies,"
           f" truthful strategy profits on {buyers} buyers; mods mismatches: 0 over"
-          f" {rounds} rounds of seeded runs")
-    return 0
+          f" {rounds} rounds of seeded runs; JSON line mismatches: {json_bad} over"
+          f" {rounds} rows")
+    return 1 if json_bad else 0
 
 
 if __name__ == "__main__":

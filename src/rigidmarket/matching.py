@@ -31,8 +31,14 @@ def build_graph(demands: Mapping[int, frozenset[int]]) -> dict[int, tuple[int, .
     """Each buyer not content with the dummy -> its demanded items, ascending.
 
     Keyed in ascending buyer order, whatever the order of ``demands``.
+    Most demand sets hold one item, and those become their 1-tuple
+    without a sort.
     """
-    return {i: tuple(sorted(demands[i])) for i in sorted(demands) if DUMMY not in demands[i]}
+    return {
+        i: tuple(d) if len(d) == 1 else tuple(sorted(d))
+        for i in sorted(demands)
+        if DUMMY not in (d := demands[i])
+    }
 
 
 class Matching:
@@ -63,6 +69,14 @@ class Matching:
         matching.buyer_to_item = b2i
         matching.item_to_buyer = i2b
         return matching
+
+    def _with_edge(self, buyer: int, item: int) -> "Matching":
+        """This matching plus the edge (buyer, item), checked as ``__init__`` checks it."""
+        if buyer in self.buyer_to_item or item in self.item_to_buyer:
+            raise InvalidMatching(f"edge ({buyer}, {item}) repeats a matched vertex")
+        return Matching._from_maps(
+            {**self.buyer_to_item, buyer: item}, {**self.item_to_buyer, item: buyer}
+        )
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.buyer_to_item.items()))

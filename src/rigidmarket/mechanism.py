@@ -248,9 +248,10 @@ def apply_sale(state: MechanismState, item: int, winner: int) -> MechanismState:
     buyers whose recorded demand contains the item report again.  That is
     exact: prices do not move at a sale, so every other buyer's demand is
     unchanged and still touches no sold item.  ``state`` must carry the
-    settled reports of its round.
+    settled reports of its round.  A winner who already holds an item,
+    or an item already sold, is :class:`~rigidmarket.errors.InvalidMatching`.
     """
-    sold = Matching(state.sold.pairs() + ((winner, item),))
+    sold = state.sold._with_edge(winner, item)
     demands = {i: d for i, d in state.demands.items() if i != winner}
     active = frozenset(i for i, d in demands.items() if item in d)
     return MechanismState(state.prices, sold, state.rationing, active, demands)
@@ -288,7 +289,8 @@ def rm(
     taker for each; that matching is then re-grown to maximum on the full
     demand graph of the remaining buyers, and any pinned edge whose item
     would otherwise be dropped (its taker only liked it alongside the
-    dummy) is added back.
+    dummy) is added back.  With none to add back, the grown matching is
+    returned as it is.
     """
     n_items = len(prices)
     marked_up = frozenset(
@@ -306,6 +308,8 @@ def rm(
         for i, a in pinned.pairs()
         if i not in grown.buyer_to_item and a not in grown.item_to_buyer
     ]
+    if not extra:
+        return grown
     return Matching(grown.pairs() + tuple(extra))
 
 
@@ -337,10 +341,6 @@ class _Memo(dict):
 def _json_list(encoded: Iterable[str]) -> str:
     """A JSON array of already-encoded values, spaced as ``json.dumps`` spaces it."""
     return "[" + ", ".join(encoded) + "]"
-
-
-def _json_ints(values) -> str:
-    return _json_list([str(v) for v in values])
 
 
 @dataclass(frozen=True)
@@ -394,6 +394,10 @@ class Trace:
         the line is joined from pre-encoded pieces: each item name is
         encoded once with ``json.dumps``, each distinct cell once, and a
         ``U``/``D`` column only when it differs from the previous row's.
+        An integer tuple (prices, sold buyers, entrants) is
+        ``str(list(values))``, which for ints is its JSON text; the label,
+        which a hand-built trace may set to any string, goes through
+        ``json.dumps``.
         """
         quoted = [json.dumps(name) for name in self.item_names]
         text = _Memo(lambda c: "null" if c is None else _json_list([quoted[a] for a in sorted(c)]))
@@ -408,13 +412,13 @@ class Trace:
             if row.lottery is not None:
                 lottery = (
                     f'{{"item": {quoted[row.lottery.item]}, '
-                    f'"entrants": {_json_ints(row.lottery.entrants)}, '
+                    f'"entrants": {str(list(row.lottery.entrants))}, '
                     f'"winner": {row.lottery.winner}}}'
                 )
             lines.append(
-                f'{{"t": {json.dumps(row.label)}, "prices": {_json_ints(row.prices)}, '
+                f'{{"t": {json.dumps(row.label)}, "prices": {str(list(row.prices))}, '
                 f'"x_min": {text[row.x_min]}, "u_sets": {u_text}, '
-                f'"sold_buyers": {_json_ints(row.sold_buyers)}, '
+                f'"sold_buyers": {str(list(row.sold_buyers))}, '
                 f'"demands": {d_text}, '
                 f'"sold_items": {text[row.sold_items]}, "lottery": {lottery}}}'
             )
@@ -484,19 +488,24 @@ class MaprOutcome:
 class _TraceRows:
     """Trace rows for one run, building each distinct ``U_i``/``D_i`` cell once.
 
+    Rows must come from the successive settled states of one run.
     Between rounds most buyers keep both their permission row and their
     demand report, so each cell is cached against the value of its
     source set.  Whole columns are reused by identity: the ``u_sets``
     column while ``state.rationing`` is the same object as at the last
     row (a round with no strike keeps it), and ``sold_buyers`` and
     ``sold_items`` while ``state.sold`` is the same ``Matching`` (only a
-    sale replaces it).
+    sale replaces it).  The demand column is kept as a list.  While
+    ``state.sold`` is unchanged the last step was a price raise, after
+    which only the buyers in ``state.active`` reported, so only their
+    cells are rewritten; a new ``sold`` took the winner's report with it,
+    and the whole column is rebuilt.
     """
 
     def __init__(self, economy: Economy):
-        items = economy.items
+        every_item = frozenset(economy.items)
         self._buyers = economy.buyers
-        self._u_cell = _Memo(lambda allowed: tuple(a for a in items if a not in allowed))
+        self._u_cell = _Memo(lambda allowed: tuple(sorted(every_item - allowed)))
         self._d_cell = _Memo(lambda report: None if report is None else tuple(sorted(report)))
         self._rationing = self._sold = None
 
@@ -504,17 +513,23 @@ class _TraceRows:
         if state.rationing is not self._rationing:
             self._rationing = state.rationing
             self._u_sets = tuple(map(self._u_cell.__getitem__, state.rationing.allowed))
+        d_cell = self._d_cell
         if state.sold is not self._sold:
             self._sold = state.sold
             self._sold_buyers = tuple(sorted(state.sold.buyer_to_item))
             self._sold_items = tuple(sorted(state.sold.item_to_buyer))
+            self._demands = list(map(d_cell.__getitem__, map(state.demands.get, self._buyers)))
+        else:
+            demands = self._demands
+            for i in state.active:
+                demands[i - 1] = d_cell[state.demands[i]]
         return TraceRow(
             label=label,
             prices=state.prices,
             x_min=tuple(sorted(x_min)),
             u_sets=self._u_sets,
             sold_buyers=self._sold_buyers,
-            demands=tuple(map(self._d_cell.__getitem__, map(state.demands.get, self._buyers))),
+            demands=tuple(self._demands),
             sold_items=self._sold_items,
             lottery=lottery,
         )

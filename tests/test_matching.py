@@ -1,6 +1,8 @@
+import random
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from rigidmarket import (
     InvalidMatching,
@@ -62,6 +64,18 @@ def test_buyers_content_with_dummy_are_excluded():
     graph = build_graph({1: frozenset({0, 4}), 2: frozenset({4})})
     assert list(graph) == [2]
     assert build_graph({1: frozenset({0})}) == {}
+
+
+@given(demand_situations(max_buyers=6, max_items=12), st.randoms(use_true_random=False))
+@example({1: frozenset({8, 1}), 2: frozenset({3}), 3: frozenset({0, 2})}, random.Random(0))
+def test_build_graph_equals_the_plain_sorted_build(demands, rng):
+    # one-item, multi-item and dummy rows, inserted in shuffled order; a
+    # set such as {8, 1} iterates out of order, so a longer row needs its sort
+    order = sorted(demands)
+    rng.shuffle(order)
+    shuffled = {i: demands[i] for i in order}
+    plain = {i: tuple(sorted(demands[i])) for i in sorted(demands) if 0 not in demands[i]}
+    assert list(build_graph(shuffled).items()) == list(plain.items())
 
 
 def test_augment_from_empty_and_fixed_point():

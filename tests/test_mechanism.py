@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rigidmarket import (
     DUMMY,
+    InvalidMatching,
     Matching,
     MechanismState,
     NoEntrants,
@@ -715,6 +716,24 @@ def test_incremental_refresh_matches_full_refresh(economy):
 @pytest.mark.parametrize("room", [40, 1])
 def test_incremental_refresh_matches_full_refresh_at_40x20(room):
     assert_matches_full_refresh(wide_economy(2024, 40, 20, room), seed=5)
+
+
+@pytest.mark.parametrize("n, m, room", [(80, 20, 0), (120, 30, 1)])
+def test_incremental_refresh_matches_full_refresh_at_ration_shape(n, m, room):
+    # mapr_ration's shape: four buyers per item and a cap room of at most
+    # one, so 20-30 sales with many strikes
+    assert_matches_full_refresh(wide_economy(2024, n, m, room), seed=5)
+
+
+def test_apply_sale_rejects_a_repeated_vertex():
+    economy = make_economy([[5, 4], [4, 5], [3, 3]], [1, 1], [1, 1])
+    state = apply_sale(initial_state(economy), 1, 1)
+    assert state.sold == Matching([(1, 1)])
+    with pytest.raises(InvalidMatching):
+        apply_sale(state, 2, 1)  # the winner already holds an item
+    with pytest.raises(InvalidMatching):
+        apply_sale(state, 1, 2)  # the item is already sold
+    assert apply_sale(state, 2, 2).sold == Matching([(1, 1), (2, 2)])
 
 
 def test_json_lines_escape_item_names():
