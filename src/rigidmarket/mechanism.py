@@ -33,10 +33,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Protocol, Sequence
 
 from .errors import NoEntrants, RoundLimitExceeded, ScriptError, UpperBoundViolation
-from .matching import (
-    Matching, build_graph, matching_to_allocation, max_matching, maximum_matching, unserved
-)
-from .model import Allocation, Economy, RationingSystem, _is_int, settled_demand
+from .matching import Matching, build_graph, max_matching, maximum_matching, unserved
+from .model import DUMMY, Allocation, Economy, RationingSystem, _is_int, settled_demand
 from .overdemand import mods
 
 DEFAULT_ROUND_LIMIT = 1_000_000
@@ -284,19 +282,23 @@ def rm(
 
     ``demands`` covers the buyers that have not bought, as
     ``MechanismState.demands`` does after a refresh; the result is
-    disjoint from ``sold``.  First the unsold items priced above their
-    lower bound are matched on the demands restricted to them, pinning a
-    taker for each; that matching is then re-grown to maximum on the full
-    demand graph of the remaining buyers, and any pinned edge whose item
-    would otherwise be dropped (its taker only liked it alongside the
-    dummy) is added back.  With none to add back, the grown matching is
-    returned as it is.
+    disjoint from ``sold``.  When no buyer demands an unsold item priced
+    above its lower bound, nothing needs pinning and the result is the
+    canonical maximum matching of ``demands``: what the pinned path below
+    grows from an empty pin.  Otherwise the marked-up unsold items are
+    matched on the demands restricted to them, pinning a taker for each;
+    that matching is then re-grown to maximum on the full demand graph of
+    the remaining buyers, and any pinned edge whose item would otherwise
+    be dropped (its taker only liked it alongside the dummy) is added
+    back.  With none to add back, the grown matching is returned as it is.
     """
     n_items = len(prices)
     marked_up = frozenset(
         a for a in range(1, n_items) if a not in sold.item_to_buyer and prices[a] > lower_bounds[a]
     )
     touching = {i: d & marked_up for i, d in demands.items() if d & marked_up}
+    if not touching:
+        return max_matching(demands)
     pinned = max_matching(touching)
 
     graph = build_graph(demands)
@@ -495,11 +497,12 @@ class _TraceRows:
     column while ``state.rationing`` is the same object as at the last
     row (a round with no strike keeps it), and ``sold_buyers`` and
     ``sold_items`` while ``state.sold`` is the same ``Matching`` (only a
-    sale replaces it).  The demand column is kept as a list.  While
-    ``state.sold`` is unchanged the last step was a price raise, after
-    which only the buyers in ``state.active`` reported, so only their
-    cells are rewritten; a new ``sold`` took the winner's report with it,
-    and the whole column is rebuilt.
+    sale replaces it).  The demand column is kept as a list.  After a
+    price raise only the buyers in ``state.active`` reported, so only
+    their cells are rewritten.  After a sale (a new ``sold``) the last
+    row's draw winner has left with its report, so its cell becomes
+    ``None``, and the buyers whose demand held the item are in
+    ``state.active``.
     """
 
     def __init__(self, economy: Economy):
@@ -507,22 +510,26 @@ class _TraceRows:
         self._buyers = economy.buyers
         self._u_cell = _Memo(lambda allowed: tuple(sorted(every_item - allowed)))
         self._d_cell = _Memo(lambda report: None if report is None else tuple(sorted(report)))
-        self._rationing = self._sold = None
+        self._rationing = self._sold = self._lottery = None
 
     def row(self, state: MechanismState, label: str, x_min, lottery) -> TraceRow:
         if state.rationing is not self._rationing:
             self._rationing = state.rationing
             self._u_sets = tuple(map(self._u_cell.__getitem__, state.rationing.allowed))
         d_cell = self._d_cell
+        if self._sold is None:
+            self._demands = list(map(d_cell.__getitem__, map(state.demands.get, self._buyers)))
+        else:
+            demands = self._demands
+            if state.sold is not self._sold:  # the last row's draw sold an item
+                demands[self._lottery.winner - 1] = None
+            for i in state.active:
+                demands[i - 1] = d_cell[state.demands[i]]
         if state.sold is not self._sold:
             self._sold = state.sold
             self._sold_buyers = tuple(sorted(state.sold.buyer_to_item))
             self._sold_items = tuple(sorted(state.sold.item_to_buyer))
-            self._demands = list(map(d_cell.__getitem__, map(state.demands.get, self._buyers)))
-        else:
-            demands = self._demands
-            for i in state.active:
-                demands[i - 1] = d_cell[state.demands[i]]
+        self._lottery = lottery
         return TraceRow(
             label=label,
             prices=state.prices,
@@ -539,13 +546,26 @@ def complete_run(economy: Economy, state: MechanismState) -> Allocation:
     """Terminal step: run the completion matching and assemble the allocation.
 
     ``state`` must be settled, so ``state.demands`` are the unsold buyers.
+    The allocation is filled in from the sold and the completion maps,
+    every other buyer holding the dummy.  A completion edge on a sold
+    buyer or a sold item raises
+    :class:`~rigidmarket.errors.InvalidMatching`; since
+    ``state.demands`` holds no sold buyer, a demander is served exactly
+    when the completion serves her.
     """
     completion = rm(state.demands, state.sold, state.prices, economy.lower_bounds)
-    final = Matching(state.sold.pairs() + completion.pairs())
-    stray = unserved(state.demands, final)
+    sold = state.sold
+    if (completion.buyer_to_item.keys() & sold.buyer_to_item.keys()
+            or completion.item_to_buyer.keys() & sold.item_to_buyer.keys()):
+        Matching(sold.pairs() + completion.pairs())  # raises, naming the first repeated edge
+    stray = unserved(state.demands, completion)
     if stray is not None:
         raise RuntimeError(f"completion left demander {stray} unserved")  # unreachable
-    return matching_to_allocation(final, economy.n_buyers)
+    assignment = [DUMMY] * economy.n_buyers
+    for matching in (sold, completion):
+        for buyer, item in matching.buyer_to_item.items():
+            assignment[buyer - 1] = item
+    return Allocation(tuple(assignment))
 
 
 def run_mapr(

@@ -93,7 +93,8 @@ def mods(demands: Mapping[int, frozenset[int]]) -> frozenset[int]:
     an item is kept exactly when dropping it would let all buyers
     confined to the remaining candidate set be matched inside it.
 
-    Only buyers whose demand lies inside the grown set can be confined
+    An empty grown set, a settled round, is returned at once.  Otherwise
+    only buyers whose demand lies inside the grown set can be confined
     to a candidate, so they are picked out once.  Hall's theorem settles
     two cases by counting: no confined buyer means the item is kept, and
     more confined buyers than candidate items means it is dropped.  Only
@@ -101,6 +102,8 @@ def mods(demands: Mapping[int, frozenset[int]]) -> frozenset[int]:
     plain filter, one matching per item, picks.
     """
     grown, _ = grow_over_demanded(demands)
+    if not grown:
+        return grown
     inside = {i: d for i, d in demands.items() if d <= grown}
     x_min: set[int] = set()
     rest = set(grown)

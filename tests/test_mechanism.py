@@ -36,8 +36,11 @@ from rigidmarket.mechanism import (
     complete_run,
     gate,
 )
-from rigidmarket.matching import unserved
+from rigidmarket.matching import (
+    build_graph, matching_to_allocation, max_matching, maximum_matching, unserved
+)
 
+from conftest import five_buyer_market
 from strategies import economies, make_economy, repeated_row_economies
 
 
@@ -531,20 +534,25 @@ def test_runs_are_monotone_admissible_and_clean(economy):
     assert check_cwe(economy, outcome.prices, outcome.rationing, outcome.allocation).ok
 
 
-@settings(max_examples=50)
-@given(economies())
-def test_completion_contracts_on_random_terminals(economy):
+def terminal_state(economy, policy):
+    """The settled state at which a run under ``policy`` stops."""
     state = initial_state(economy)
-    policy = SeededLottery(11)
     for _ in range(economy.bound_spread() + economy.n_items + 1):
         state = refresh_demands(economy, state)
         x_min, item, entrants = gate(economy, state)
         if x_min is None:
-            break
+            return state
         if item is None:
             state = price_increase_step(economy, state, x_min)
         else:
             state, _ = lottery_step(state, item, entrants, policy)
+    raise AssertionError("run exceeded the round bound")
+
+
+@settings(max_examples=50)
+@given(economies())
+def test_completion_contracts_on_random_terminals(economy):
+    state = terminal_state(economy, SeededLottery(11))
     demands = {i: state.demands[i] for i in unsold_buyers(economy, state)}
     completion = rm(demands, state.sold, state.prices, economy.lower_bounds)
     # disjointness from the sold matching
@@ -561,6 +569,60 @@ def test_completion_contracts_on_random_terminals(economy):
             assert DUMMY in d
         else:
             assert item in d
+
+
+def pinned_completion(demands, sold, prices, lower_bounds):
+    """The completion along the pinned path whatever the pin, an empty one included.
+
+    Pin a taker for each marked-up unsold item, grow the pin to maximum on
+    the full demand graph, then add back the pinned edges the growth lost.
+    """
+    marked_up = frozenset(
+        a
+        for a in range(1, len(prices))
+        if a not in sold.item_to_buyer and prices[a] > lower_bounds[a]
+    )
+    pinned = max_matching({i: d & marked_up for i, d in demands.items() if d & marked_up})
+    graph = build_graph(demands)
+    grown = maximum_matching(graph, Matching([(i, a) for i, a in pinned.pairs() if i in graph]))
+    extra = [
+        (i, a)
+        for i, a in pinned.pairs()
+        if i not in grown.buyer_to_item and a not in grown.item_to_buyer
+    ]
+    return Matching(grown.pairs() + tuple(extra))
+
+
+def assert_completion_is_the_pinned_path(economy, state):
+    completion = rm(state.demands, state.sold, state.prices, economy.lower_bounds)
+    assert completion == pinned_completion(
+        state.demands, state.sold, state.prices, economy.lower_bounds
+    )
+    union = Matching(state.sold.pairs() + completion.pairs())
+    assert complete_run(economy, state) == matching_to_allocation(union, economy.n_buyers)
+
+
+@settings(max_examples=100)
+@given(economies(), st.integers(0, 3))
+def test_completion_equals_the_pinned_path_on_random_terminals(economy, seed):
+    assert_completion_is_the_pinned_path(economy, terminal_state(economy, SeededLottery(seed)))
+
+
+# the first golden branch ends with d priced above its floor; in the tie
+# market both buyers end indifferent between the item, marked up, and the
+# dummy, so only the pin sells it
+@pytest.mark.parametrize(
+    "economy, winners",
+    [(five_buyer_market(), [2]), (make_economy([[5], [5]], [0], [10]), [])],
+    ids=["golden_first_branch", "tie_at_value"],
+)
+def test_completion_equals_the_pinned_path_with_an_item_marked_up(economy, winners):
+    state = terminal_state(economy, ScriptedLottery(winners))
+    assert any(
+        a not in state.sold.item_to_buyer and state.prices[a] > economy.lower_bounds[a]
+        for a in economy.real_items
+    )
+    assert_completion_is_the_pinned_path(economy, state)
 
 
 @settings(max_examples=50)
@@ -705,6 +767,25 @@ def test_each_round_asks_unserved_once(monkeypatch):
     monkeypatch.setattr("rigidmarket.mechanism.unserved", counted)
     trace = run_mapr(wide_economy(3, 40, 20, 40), SeededLottery(3)).trace
     assert len(calls) == len(trace.rows) + 1
+
+
+@pytest.mark.parametrize(
+    "completion, error, message",
+    [
+        (Matching([(1, 3)]), InvalidMatching, r"^edge \(1, 3\) repeats a matched vertex$"),
+        (Matching([(2, 4)]), InvalidMatching, r"^edge \(2, 4\) repeats a matched vertex$"),
+        (Matching(), RuntimeError, "^completion left demander 3 unserved$"),
+    ],
+    ids=["sold_item", "sold_buyer", "unserved_demander"],
+)
+def test_complete_run_rejects_a_faulty_completion(market, monkeypatch, completion, error, message):
+    # the first golden branch ends with buyer 2 holding item 3 and buyer 3
+    # demanding item 2 alone
+    state = terminal_state(market, ScriptedLottery([2]))
+    assert state.sold == Matching([(2, 3)]) and state.demands[3] == frozenset({2})
+    monkeypatch.setattr("rigidmarket.mechanism.rm", lambda *args: completion)
+    with pytest.raises(error, match=message):
+        complete_run(market, state)
 
 
 @settings(max_examples=60)
