@@ -290,7 +290,7 @@ def _cmd_manipulate(args) -> int:
         raise CliError(f"NegativeEntry: --cap: the value cap must be non-negative, got {args.cap}")
     result = optimal_strategy_search(problem, cap=args.cap, node_limit=node_limit)
     print(f"cap: {result.cap} (searched {result.strategies_evaluated} strategies,"
-          f" {result.distinct_evaluations} distinct evaluations)")
+          f" {result.full_walks} answer transcripts)")
     print(f"truthful expected profit: {_frac(result.truthful_profit)}")
     best = list(result.best_strategy.reported_values[1:])
     print(f"best strategy found: {best}")

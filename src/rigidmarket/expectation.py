@@ -23,19 +23,27 @@ it.
 pass.  Strikes only ever remove sold items, so an unsold buyer's
 permission row less the sold items is always the set of unsold items,
 and its settled row and demand depend only on its values, the prices
-and the sold item set.  So does everything the rest of a history does, once each lottery
-winner's profit (value less cap) is credited at its sale: the subtree
-below a round is fixed by its residual market, (prices, sold item set,
-sold buyer set), whoever holds which item.  Each pending market holds
+and the sold item set.  So does everything the rest of a history does,
+once each lottery winner's profit (value less cap) is credited at its
+sale: the subtree below a round is fixed by its residual market,
+(prices, sold item set, sold buyer set), whoever holds which item.  Each pending market holds
 one representative state and the integer probability mass and count of
 the histories that reach it.  Every step raises the number of sold
 items plus the sum of prices, so the pass plays markets in that order
 and meets each one after all the markets that lead to it.  A leaf
 scores each unsold buyer from its settled demand: value less price of
-any item in it.  The markets that share prices and sold items share a
-rank, so the pass keeps one answer table per (prices, sold item set)
-while it plays a rank, and :func:`refresh_demands` settles each buyer
-once per table, whichever buyers hold the sold items.
+any item in it.  The pass keeps one answer table per (prices, sold item
+set), and :func:`refresh_demands` settles each buyer once per table,
+whichever buyers hold the sold items.
+
+The pass is a small object, :class:`_LotteryWalk`, that can stop and
+resume: its state is the pending markets by rank, the column sums, the
+node and leaf counts and, for the strategy module, the manipulator's
+answers so far.  Given a manipulator, it stops at each market where she
+reports at prices and sold items she has no answer for yet, and hands
+that query back; the caller answers and resumes it, or forks it first
+to follow several answers.  Forks share the states, which are
+immutable, and the answer tables.
 
 The two routes differ in how leaves are scored and in whether histories
 that meet are merged, so their agreement, which the tests check in
@@ -54,11 +62,12 @@ sale credits weighted by it, and builds one
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from .errors import TreeSizeExceeded
 from .matching import Matching
@@ -120,115 +129,144 @@ class ExpectationReport:
     tree_stats: TreeStats
 
 
-def _walk_lottery_tree(
-    economy: Economy,
-    node_limit: int,
-    payoff: Callable[[MechanismState], Sequence[int]],
-    credit: Callable[[int, int], tuple[int, int]],
-    manipulator: Optional[int] = None,
-) -> tuple[tuple[Fraction, ...], int, int, list]:
-    """Expected ``payoff`` over the lottery tree: (value, nodes, leaves, transcript).
+class _LotteryWalk:
+    """The forward pass over the lottery tree, as a walk that can stop and fork.
 
     A node is one round of one history.  The walk plays each residual
     market, keyed (prices, sold item set, sold buyer set), once, in one
     forward pass (see the module docstring).  A pending market holds a
     representative state, the integer mass of the histories that reach
-    it, over ``lcm(1..n) ** min(n, m)`` for n buyers and m real items, and
-    their count.  Markets are played by rank, the number of sold items
-    plus the sum of prices (counted from the root), and within a rank in
-    the order they were reached.  Every edge raises the rank, so a market
-    is played after all of its parents, with its whole mass.
+    it, over ``scale = lcm(1..n) ** min(n, m)`` for n buyers and m real
+    items, and their count.  Markets are played by rank, the number of
+    sold items plus the sum of prices (counted from the root), and within
+    a rank in the order they were reached.  Every edge raises the rank, so
+    a market is played after all of its parents, with its whole mass.
 
     Playing a market adds its count to the nodes.
     :func:`refresh_demands` settles it with the answer table of its
-    prices and sold item set, kept only while its rank is played, and
-    :func:`gate` decides it.  A settled market is a leaf: it adds its
-    count to the leaves and its mass times ``payoff`` of the settled
-    state to the sums.  A raise hands mass and
-    count to its :func:`price_increase_step` child.  A lottery of ``k``
-    entrants hands each winner's :func:`apply_sale` child the share
-    ``mass // k``; ``credit(item, winner)`` names one column and an
-    amount, and the share times that amount is added to that column
-    alone.  The share is exact: a history draws at most ``min(n, m)``
-    lotteries of at most ``n`` entrants, and the histories that meet at a
-    market have all drawn one lottery per sold item.  A child state is
-    built only when its market is new.  The value is the sums over the
-    common denominator.
+    prices and sold item set, and :func:`gate` decides it.  ``tables``
+    holds one table per pair met; without a manipulator it is emptied at
+    each new rank, since every market with those prices and sold items
+    shares a rank, which keeps a long walk's live set small.  A settled
+    market is a leaf: it adds its count to the leaves and its mass times
+    ``payoff(state)``, a sequence of integers, of the settled state to
+    the sums.
+    A raise hands mass and count to its :func:`price_increase_step`
+    child.  A lottery of ``k`` entrants hands each winner's
+    :func:`apply_sale` child the share ``mass // k``; ``credit(item,
+    winner)`` names one column and an amount, and the share times that
+    amount is added to that column alone.  The share is exact: a history
+    draws at most ``min(n, m)`` lotteries of at most ``n`` entrants, and
+    the histories that meet at a market have all drawn one lottery per
+    sold item.  A child state is built only when its market is new.
+    :meth:`value` is the sums over the common denominator.
 
     A ``manipulator``'s win ends its branch, as one node and one leaf per
-    path, so ``credit`` must pay her profit at the sale.  The transcript
-    lists, in pass order, one ``(query, answer)`` pair per market where
-    she reports: the query is (prices, sold item set), on which her
-    settlement depends besides her value row, and the answer her settled
-    demand.
+    path, so ``credit`` must pay her profit at the sale.  The walk does
+    not settle her: ``said`` maps each query, (prices, sold item set), to
+    her demand there, and she reports it with her permission row as it
+    stands, which no decision reads.  :meth:`play` plays markets until
+    the walk ends and returns ``None``, or until a market where she is
+    active meets a query that ``said`` lacks: it puts that market and the
+    rest of its rank back into ``pending``, first, and returns the query.
+    Put her answer in ``said`` and call :meth:`play` again to resume.
+    :meth:`fork` copies the walk at a stop, so each copy can go on with
+    another answer: the pending entries, the sums and her answers are
+    copied, and the states, which are immutable, and the answer tables,
+    whose other buyers' answers hold in every branch, are shared.
 
     Once the nodes counted pass ``node_limit``, the walk raises
     :class:`TreeSizeExceeded` after the market it is playing, with
     ``node_limit + 1`` nodes (1 for a negative limit): the count at which
     a walk of one node at a time would stop.
     """
-    n = economy.n_buyers
-    scale = lcm(*range(1, n + 1)) ** min(n, economy.n_items - 1)
-    transcript: list = []
-    # column -> weighted sum; every leaf adds all of its columns
-    total: defaultdict[int, int] = defaultdict(int)
-    nodes = leaves = 0
 
-    root = initial_state(economy)
-    # rank -> {market key: [representative state, mass, path count]}; a
-    # step raises the rank by at most m, so at most m ranks are pending
-    pending = {0: {(root.prices, frozenset(), frozenset()): [root, scale, 1]}}
+    def __init__(self, economy: Economy, node_limit: int, payoff, credit, manipulator=None):
+        n = economy.n_buyers
+        self.scale = lcm(*range(1, n + 1)) ** min(n, economy.n_items - 1)
+        self.economy, self.node_limit, self.payoff, self.credit = economy, node_limit, payoff, credit
+        # (prices, sold item set) -> buyer -> settled answer, shared with forks;
+        # the search's branches meet the same queries at every rank
+        self.manipulator, self.tables = manipulator, {}
+        root = initial_state(economy)
+        # rank -> {market key: [representative state, mass, path count]}; a
+        # step raises the rank by at most m, so at most m ranks are pending
+        self.pending = {0: {(root.prices, frozenset(), frozenset()): [root, self.scale, 1]}}
+        # column -> weighted sum; every leaf adds all of its columns
+        self.total: defaultdict[int, int] = defaultdict(int)
+        self.nodes, self.leaves, self.said = 0, 0, {}
 
-    def reach(rank, key, mass, paths, step, *args):
-        """Add mass and paths to the pending market ``key``; ``step(*args)`` opens a new one."""
-        markets = pending.setdefault(rank, {})
-        entry = markets.get(key)
-        if entry is None:
-            markets[key] = [step(*args), mass, paths]
-        else:
-            entry[1] += mass
-            entry[2] += paths
+    def fork(self) -> "_LotteryWalk":
+        child = copy.copy(self)
+        child.pending = {r: {k: e.copy() for k, e in ms.items()} for r, ms in self.pending.items()}
+        child.total, child.said = self.total.copy(), self.said.copy()
+        return child
 
-    while pending:
-        rank = min(pending)
-        # (prices, sold item set) -> buyer -> settled answer; every market
-        # at those prices and sold items has this rank
-        answers: dict = {}
-        for (prices, sold_items, sold_buyers), (state, mass, paths) in pending.pop(rank).items():
-            nodes += paths
-            settled = refresh_demands(economy, state, answers.setdefault((prices, sold_items), {}))
-            if manipulator in state.active:
-                transcript.append(((prices, sold_items), settled.demands[manipulator]))
-            x_min, item, entrants = gate(economy, settled)
-            if x_min is None:
-                leaves += paths
-                for k, v in enumerate(payoff(settled)):
-                    total[k] += mass * v
-            elif item is None:
-                raised = list(prices)
-                for a in x_min:
-                    raised[a] += 1
-                raised = tuple(raised)
-                reach(rank + len(x_min), (raised, sold_items, sold_buyers), mass, paths,
-                      price_increase_step, economy, settled, x_min)
+    def value(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(self.total[k], self.scale) for k in range(len(self.total)))
+
+    def play(self) -> Optional[tuple]:
+        economy, manipulator, said, tables = self.economy, self.manipulator, self.said, self.tables
+        payoff, credit, pending, total = self.payoff, self.credit, self.pending, self.total
+        node_limit, nodes, leaves = self.node_limit, self.nodes, self.leaves
+
+        def reach(rank, key, mass, paths, step, *args):
+            """Add mass and paths to the pending market ``key``; ``step(*args)`` opens a new one."""
+            markets = pending.setdefault(rank, {})
+            entry = markets.get(key)
+            if entry is None:
+                markets[key] = [step(*args), mass, paths]
             else:
-                share = mass // len(entrants)
-                sold_items = sold_items | {item}
-                for winner in entrants:
-                    column, amount = credit(item, winner)
-                    total[column] += share * amount
-                    if winner == manipulator:
-                        nodes += paths
-                        leaves += paths
-                    else:
-                        reach(rank + 1, (prices, sold_items, sold_buyers | {winner}), share,
-                              paths, apply_sale, settled, item, winner)
-            if nodes > node_limit:
-                raise TreeSizeExceeded(
-                    f"lottery tree exceeded {node_limit} nodes", nodes=max(node_limit, 0) + 1
-                )
-    value = tuple(Fraction(total[k], scale) for k in range(len(total)))
-    return value, nodes, leaves, transcript
+                entry[1] += mass
+                entry[2] += paths
+
+        while pending:
+            rank = min(pending)
+            if manipulator is None:
+                tables.clear()
+            markets = iter(pending.pop(rank).items())
+            for (prices, sold_items, sold_buyers), (state, mass, paths) in markets:
+                answers = tables.setdefault((prices, sold_items), {})
+                if manipulator in state.active:
+                    demand = said.get((prices, sold_items))
+                    if demand is None:  # hand the query over, this market first in its rank
+                        key = (prices, sold_items, sold_buyers)
+                        pending[rank] = {key: [state, mass, paths], **dict(markets)}
+                        self.nodes, self.leaves = nodes, leaves
+                        return prices, sold_items
+                    answers[manipulator] = (state.rationing.allowed[manipulator - 1], demand)
+                nodes += paths
+                settled = refresh_demands(economy, state, answers)
+                x_min, item, entrants = gate(economy, settled)
+                if x_min is None:
+                    leaves += paths
+                    for k, v in enumerate(payoff(settled)):
+                        total[k] += mass * v
+                elif item is None:
+                    raised = list(prices)
+                    for a in x_min:
+                        raised[a] += 1
+                    raised = tuple(raised)
+                    reach(rank + len(x_min), (raised, sold_items, sold_buyers), mass, paths,
+                          price_increase_step, economy, settled, x_min)
+                else:
+                    share = mass // len(entrants)
+                    sold_items = sold_items | {item}
+                    for winner in entrants:
+                        column, amount = credit(item, winner)
+                        total[column] += share * amount
+                        if winner == manipulator:
+                            nodes += paths
+                            leaves += paths
+                        else:
+                            reach(rank + 1, (prices, sold_items, sold_buyers | {winner}), share,
+                                  paths, apply_sale, settled, item, winner)
+                if nodes > node_limit:
+                    raise TreeSizeExceeded(
+                        f"lottery tree exceeded {node_limit} nodes", nodes=max(node_limit, 0) + 1
+                    )
+        self.nodes, self.leaves = nodes, leaves
+        return None
 
 
 def expected_values(
@@ -261,14 +299,16 @@ def expected_values(
     def credit(item: int, winner: int) -> tuple[int, int]:
         return winner - 1, valuations[winner - 1][item] - caps[item]
 
-    value, nodes, leaves, _ = _walk_lottery_tree(economy, node_limit, payoff, credit)
+    walk = _LotteryWalk(economy, node_limit, payoff, credit)
+    walk.play()
+    value = walk.value()
     mass = value[-1]
     if mass != 1:
         raise RuntimeError("leaf probabilities do not sum to one")  # unreachable
     return ExpectationReport(
         expected_profit={i: value[i - 1] for i in economy.buyers},
         expected_price={a: value[n + a] for a in economy.items},
-        tree_stats=TreeStats(nodes, leaves, mass),
+        tree_stats=TreeStats(walk.nodes, walk.leaves, mass),
     )
 
 

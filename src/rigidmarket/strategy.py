@@ -14,27 +14,45 @@ With two buyers truthful reporting is optimal, and the closed-form case
 analysis in :func:`two_buyer_case_analysis` says exactly what the
 truthful expected profit is.  With three or more buyers profitable
 misreports exist; :func:`optimal_strategy_search` finds the best
-strategy inside a value box by exhaustive enumeration.
+strategy inside a value box, exactly.
 
-The search walks far fewer trees than it scores rows.  The walk of a
-reported economy reads the manipulator's reported row in one place
-only: her :func:`~rigidmarket.model.settled_demand` call at each
-residual market where she reports.  Of its answer, only her demand
-steers the walk: her permission row is every item less the sold items
-at least as good as her demand, a record that no decision reads.
-Everything else the walk does, the order in which it plays the markets
-included, reads the other buyers' rows, the price bounds and the states
-reached, and the profit is scored with her true row.  So the walk is a
-function of her demands: two rows that give the same demands, query by
-query, play the same markets and score the same profit.  A query is
-what her settlement depends on besides her row: the prices and the sold
-item set.  One search keeps a trie of the answer transcripts it has met
-(:class:`_AnswerTrie`); a new row replays the trie by calling
-``settled_demand`` on the stored queries, with every item allowed, since
-any row holding every unsold item gives the same demand, and only a new
-answer builds the reported economy and walks its tree.  A walk's own
-answers come from its settled states, so it records its transcript
-without asking again.
+The search scores answer transcripts, not rows.  The walk reads the
+manipulator's reported row in one place only: her
+:func:`~rigidmarket.model.settled_demand` at each residual market where
+she reports.  Of its answer, only her demand steers the walk: her
+permission row is every item less the sold items at least as good as
+her demand, a record that no decision reads.  Everything else the walk
+does, the order in which it plays the markets included, reads the other
+buyers' rows, the price bounds and the states reached, and the profit is
+scored with her true row.  So the walk is a function of her demands: two
+rows that give the same demands, query by query, play the same markets
+and score the same profit.  A query is what her settlement depends on
+besides her row: the prices and the sold item set.  Her answer
+transcript is her demand at each query the walk asks.  So the walk runs
+on the true economy and asks her (see
+:class:`~rigidmarket.expectation._LotteryWalk`); no reported economy is
+built.
+
+The rows that give one transcript are the integer solutions of a system
+of difference constraints.  Her demand ``D`` at prices ``p`` is the
+unsold items of top net benefit, the dummy included: ``x_a - p_a =
+x_b - p_b`` for ``a`` and ``b`` in ``D``, and ``x_c - p_c <= x_a - p_a
+- 1`` for every other unsold ``c``, as values are integers.  With
+``x_0 = 0`` (the dummy) and ``0 <= x_a <= cap``, every constraint
+bounds one difference ``x_b - x_a``.  The search keeps them as a closed
+bound matrix ``W``, ``W[a][b]`` the bound on ``x_b - x_a``: a system is
+feasible iff its constraint graph has no negative cycle, and then its
+componentwise least solution is ``x_a = -W[a][0]``, which is also its
+lexicographically smallest row (Cormen, Leiserson, Rivest and Stein,
+"Introduction to Algorithms", section 24.4, "Difference constraints and
+shortest paths").  The search is depth first: at each query the walk
+asks, it forks the walk once per demand that keeps the system feasible,
+at most ``2 ** (m + 1) - 1`` candidates.  Each completed branch is one
+transcript, with its exact profit and least row, and every row of the
+box lies in exactly one of them.  The best transcript has the top
+profit and, among those, the smallest least row: the smallest vector of
+the box with that profit, the row that scoring the box in order would
+keep.  The truthful strategy wins a tie.
 """
 
 from __future__ import annotations
@@ -49,7 +67,7 @@ from .mechanism import _check_limit, rm
 from .model import (
     DUMMY, Economy, RationingSystem, _check_buyer, _is_int, demand_set, settled_demand
 )
-from .expectation import DEFAULT_NODE_LIMIT, _walk_lottery_tree, expected_values
+from .expectation import DEFAULT_NODE_LIMIT, _LotteryWalk, expected_values
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
 
@@ -104,34 +122,41 @@ def default_value_cap(problem: ManipulationProblem) -> int:
     return max(economy.upper_bounds) + max(economy.valuations[problem.manipulator - 1])
 
 
-def _true_profit_of_run(
-    economy: Economy, true_row, manipulator: int, node_limit: int
-) -> tuple[Fraction, list]:
-    """Expected true-value profit of the manipulator in the reported economy.
+def _profit_walk(economy: Economy, true_row, manipulator: int, node_limit: int) -> _LotteryWalk:
+    """The walk of the manipulator's expected true-value profit.
 
-    Returns the profit and the walk's transcript of her answers.  The
-    walk is :func:`~rigidmarket.expectation._walk_lottery_tree` on the
-    reported economy.  Her win credits her true value less the cap at the
-    sale and ends the branch, since sold prices never move.  At a settled
-    leaf, where she holds nothing, the completion matching decides what
-    she receives.  The transcript holds one (query, answer) pair per
-    residual market where she reports (she is unsold and active there):
-    the prices and sold item set, and her settled demand at them.
+    Her win credits her true value less the cap at the sale and ends the
+    branch, since sold prices never move.  At a settled leaf, where she
+    holds nothing, the completion matching decides what she receives.
+    The walk stops at each of her queries (see
+    :class:`~rigidmarket.expectation._LotteryWalk`).
     """
-    caps = economy.upper_bounds
-
     def payoff(state):
         completion = rm(state.demands, state.sold, state.prices, economy.lower_bounds)
         item = completion.buyer_to_item.get(manipulator, DUMMY)
         return (true_row[item] - state.prices[item],)
 
     def credit(item, winner):
-        return 0, true_row[item] - caps[item] if winner == manipulator else 0
+        return 0, true_row[item] - economy.upper_bounds[item] if winner == manipulator else 0
 
-    (profit,), _, _, transcript = _walk_lottery_tree(
-        economy, node_limit, payoff, credit, manipulator
-    )
-    return profit, transcript
+    return _LotteryWalk(economy, node_limit, payoff, credit, manipulator)
+
+
+def _true_profit_of_run(
+    economy: Economy, true_row, manipulator: int, node_limit: int
+) -> tuple[Fraction, dict]:
+    """Expected true-value profit of the manipulator in the reported economy.
+
+    Returns the profit and her transcript: her settled demand at each
+    query where the walk stopped, in the order asked.  Each answer
+    settles her row of ``economy`` with every item allowed, since any
+    permission row that holds every unsold item gives the same demand.
+    """
+    walk = _profit_walk(economy, true_row, manipulator, node_limit)
+    row, items = economy.valuations[manipulator - 1], frozenset(economy.items)
+    while (query := walk.play()) is not None:
+        walk.said[query] = settled_demand(row, query[0], items, query[1])[1]
+    return walk.value()[0], walk.said
 
 
 def expected_profit_under_strategy(
@@ -151,9 +176,12 @@ def expected_profit_under_strategy(
 class SearchResult:
     """The best strategy in the box and what finding it took.
 
-    ``distinct_evaluations`` counts the demand signatures of the box;
-    ``full_walks`` counts the lottery trees walked, one per new answer
-    transcript (plus, at most, one for a truthful row outside the box).
+    ``full_walks`` counts her answer transcripts in the box, one per
+    completed branch of the search; a truthful row outside the box is
+    scored by one more walk, which is not counted.
+    ``distinct_evaluations`` is the transcript count too.
+    ``strategies_evaluated`` is the size of the box, ``(cap + 1) ** m``:
+    every row of it lies in the region of one transcript.
     """
 
     best_strategy: Strategy
@@ -166,86 +194,75 @@ class SearchResult:
     full_walks: int
 
 
-def _clamp_windows(lower, upper):
-    """The windows :func:`_demand_signature` clamps to, for these price bounds.
+def _with_demand(bounds, prices, unsold, demand):
+    """``bounds`` with the constraints under which she settles on ``demand``, or ``None``.
 
-    One ``(a, b, low, high)`` per pair of items ``a < b``, the dummy
-    included: ``low`` and ``high`` lie just past the attainable price
-    differences of ``a`` and ``b``.
+    ``bounds[i][j]`` bounds ``x_j - x_i`` and is closed: no chain of
+    constraints gives a tighter bound.  Her demand at ``prices`` is the
+    unsold items of top net benefit ``x_c - prices[c]``.  With ``a`` the
+    first item of ``demand``, that is ``x_b - x_a = prices[b] - prices[a]``
+    for every item ``b`` of ``demand``, and ``x_c - x_a <= prices[c] -
+    prices[a] - 1`` for every other unsold ``c``: edges out of ``a`` and,
+    for the equalities, back into it.  A constraint that contradicts
+    ``bounds`` on its own is rejected first.  Every new edge touches
+    ``a``, so a shortest chain uses them only next to ``a``: the closed
+    bounds are ``min(bounds[i][j], into[i] + out[j])``, with ``out[j]``
+    the best bound on ``x_j - x_a`` and ``into[i]`` that on ``x_a - x_i``,
+    and the system is infeasible exactly when a cycle through ``a`` is
+    negative: ``out[b] + prices[a] - prices[b] < 0`` for some ``b`` of
+    ``demand`` (``a`` itself included).
     """
-    m1 = len(lower)
-    return tuple(
-        (a, b, lower[a] - upper[b] - 1, upper[a] - lower[b] + 1)
-        for a in range(m1)
-        for b in range(a + 1, m1)
-    )
+    a = demand[0]
+    price, out, back = prices[a], list(bounds[a]), []
+    for c in unsold:
+        w = prices[c] - price - (c not in demand)
+        if w + bounds[c][a] < 0:
+            return None
+        if w < bounds[a][c]:
+            for j, bound in enumerate(bounds[c]):
+                if w + bound < out[j]:
+                    out[j] = w + bound
+        if c in demand:
+            back.append((c, price - prices[c]))
+    if any(out[b] + w < 0 for b, w in back):
+        return None
+    into = [min(row[b] + w for b, w in back) for row in bounds]
+    return tuple(tuple(w if w <= t + o else t + o for w, o in zip(row, out))
+                 for row, t in zip(bounds, into))
 
 
-def _demand_signature(row, windows):
-    """Key under which two reported rows behave identically.
+def _transcripts(economy: Economy, manipulator: int, cap: int, node_limit: int):
+    """Each answer transcript of her rows in ``[0, cap]`` per item: (answers, profit, bounds).
 
-    Demand sets compare net benefits, so only value differences against
-    attainable price differences matter (against the dummy, valued and
-    priced at zero, that is the value itself); clamping each difference
-    to its window (:func:`_clamp_windows`) collapses equivalent rows.
+    A depth-first search over her queries (see the module docstring).  It
+    forks her profit walk at each query where she reports, once per
+    demand that keeps the branch's difference system feasible, so each
+    completed branch is one transcript: her answers by query, in the
+    order asked, her exact expected profit, and the closed bound matrix
+    of the rows that give it.  Other buyers' answers depend only on the
+    query, so one answer table per query serves every branch.
     """
-    diffs = []
-    for a, b, low, high in windows:
-        d = row[a] - row[b]
-        diffs.append(low if d < low else high if d > high else d)
-    return tuple(diffs)
-
-
-class _AnswerTrie:
-    """Profits of one manipulator's walks, keyed by her answer transcripts.
-
-    A node is a ``(query, children)`` pair: the query (prices, sold item
-    set), as recorded by :func:`_true_profit_of_run`, and a child per
-    demand met so far.  A child is the next node of the walks that gave
-    that demand or, when the walk ends there, its exact profit.
-    :meth:`profit` answers the stored queries with a reported row,
-    settling it with every item allowed, and returns the profit at the
-    end of its transcript; only when a demand has no child does it walk
-    the tree, and that walk's transcript goes into the trie.
-    ``full_walks`` counts those walks.
-    """
-
-    def __init__(self, economy: Economy, manipulator: int, node_limit: int):
-        self.economy = economy
-        self.manipulator = manipulator
-        self.true_row = economy.valuations[manipulator - 1]
-        self.items = frozenset(economy.items)
-        self.node_limit = node_limit
-        self.root: dict = {}  # the first node, under the key None
-        self.full_walks = 0
-
-    def profit(self, row) -> Fraction:
-        node = self.root.get(None)
-        while type(node) is tuple:
-            (prices, sold), children = node
-            node = children.get(settled_demand(row, prices, self.items, sold)[1])
-        if node is None:
-            return self._walk(row)
-        return node
-
-    def _walk(self, row) -> Fraction:
-        reported = self.economy.with_valuation_row(self.manipulator, row)
-        profit, transcript = _true_profit_of_run(
-            reported, self.true_row, self.manipulator, self.node_limit
-        )
-        self.full_walks += 1
-        children, key = self.root, None
-        for query, answer in transcript:
-            node = children.get(key)
-            if node is None:
-                node = children[key] = (query, {})
-            elif type(node) is not tuple:
-                raise RuntimeError("a walk's transcript runs past a recorded one")  # unreachable
-            children, key = node[1], answer
-        if key in children:
-            raise RuntimeError("a walk's transcript is already in the trie")  # unreachable
-        children[key] = profit
-        return profit
+    items = range(economy.n_items)
+    # x_0 = 0 and 0 <= x_a <= cap, closed
+    box = tuple(tuple(0 if b in (a, DUMMY) else cap for b in items) for a in items)
+    true_row = economy.valuations[manipulator - 1]
+    stack = [(_profit_walk(economy, true_row, manipulator, node_limit), box)]
+    while stack:
+        walk, bounds = stack.pop()
+        if (query := walk.play()) is None:
+            yield walk.said, walk.value()[0], bounds
+            continue
+        unsold = [a for a in items if a not in query[1]]  # query: (prices, sold item set)
+        branches = [
+            (frozenset(demand), tightened)
+            for size in range(1, len(unsold) + 1)
+            for demand in itertools.combinations(unsold, size)
+            if (tightened := _with_demand(bounds, query[0], unsold, demand)) is not None
+        ]
+        for k, (demand, tightened) in enumerate(branches):
+            branch = walk if k == len(branches) - 1 else walk.fork()
+            branch.said[query] = demand
+            stack.append((branch, tightened))
 
 
 def optimal_strategy_search(
@@ -255,17 +272,19 @@ def optimal_strategy_search(
 ) -> SearchResult:
     """Best strategy over all integer value vectors in ``[0, cap]`` per item.
 
-    Every vector in the box is scored.  Rows with provably identical
-    demand behaviour share one demand signature and one evaluation; an
-    evaluation replays the search's trie of answer transcripts (see the
-    module docstring) and walks the lottery tree only for a transcript
-    the trie has not met, since rows with one transcript play one walk
-    and score one profit.  Ties break toward the truthful strategy when
-    it attains the maximum, otherwise toward the lexicographically
-    smallest vector.  A box of more than ``DEFAULT_ENUMERATION_LIMIT``
-    vectors is a :class:`SizeGuard`.  A ``cap`` that is not an integer (a
-    ``bool`` included) or is negative is a ``ValueError``, and so is a
-    ``node_limit`` that is not an integer.
+    Scores each of her answer transcripts in the box once
+    (:func:`_transcripts`), with the least row of its region.  The best
+    profit is the maximum over transcripts.  Ties break toward the
+    truthful strategy when it attains the maximum, otherwise toward the
+    lexicographically smallest least row: the smallest vector of the box
+    with that profit, since each region's least row is its
+    lexicographically smallest.  The truthful profit is that of the
+    transcript whose region holds the truthful row, or of one plain walk
+    when that row lies outside the box.  More than
+    ``DEFAULT_ENUMERATION_LIMIT`` transcripts is a :class:`SizeGuard`.  A
+    ``cap`` of ``None`` is :func:`default_value_cap`; one that is not an
+    integer (a ``bool`` included) or is negative is a ``ValueError``, and
+    so is a ``node_limit`` that is not an integer.
     """
     economy = problem.economy
     _check_limit("node_limit", node_limit)
@@ -275,46 +294,31 @@ def optimal_strategy_search(
         raise ValueError(f"NonIntegerEntry: the value cap must be an integer, got {cap!r}")
     if cap < 0:
         raise ValueError(f"NegativeEntry: the value cap must be non-negative, got {cap}")
-    m = economy.n_items - 1
-    total = (cap + 1) ** m
-    if total > DEFAULT_ENUMERATION_LIMIT:
-        raise SizeGuard(
-            f"{total} strategies exceed the enumeration limit {DEFAULT_ENUMERATION_LIMIT}"
-        )
-
     manipulator = problem.manipulator
-    windows = _clamp_windows(economy.lower_bounds, economy.upper_bounds)
-    trie = _AnswerTrie(economy, manipulator, node_limit)
-    seen: set = set()
-    best_profit = None
-    best_values = None
-    for combo in itertools.product(range(cap + 1), repeat=m):
-        row = (0, *combo)
-        sig = _demand_signature(row, windows)
-        if sig in seen:
-            continue  # an earlier vector with this signature scored the same profit
-        seen.add(sig)
-        p = trie.profit(row)
-        if best_profit is None or p > best_profit:
-            best_profit, best_values = p, combo
-
-    truthful = Strategy.truthful(economy, manipulator)
-    # inside the box this replays the transcript of its signature's first row
-    truthful_profit = trie.profit(truthful.reported_values)
-    if truthful_profit >= best_profit:
-        best_profit = truthful_profit
-        chosen = truthful
-    else:
-        chosen = Strategy.from_real_values(best_values)
+    true_row = economy.valuations[manipulator - 1]
+    best = truthful_profit = None  # best: the least (-profit, least row) of a transcript
+    found = _transcripts(economy, manipulator, cap, node_limit)
+    for transcripts, (_, profit, bounds) in enumerate(found, 1):
+        if transcripts > DEFAULT_ENUMERATION_LIMIT:
+            raise SizeGuard(f"{transcripts} answer transcripts exceed the enumeration limit"
+                            f" {DEFAULT_ENUMERATION_LIMIT}")
+        key = (-profit, tuple(-row[DUMMY] for row in bounds))
+        best = key if best is None else min(best, key)
+        if all(true_row[b] - true_row[a] <= w
+               for a, row in enumerate(bounds) for b, w in enumerate(row)):
+            truthful_profit = profit
+    if truthful_profit is None:  # the truthful row lies outside the box
+        truthful_profit, _ = _true_profit_of_run(economy, true_row, manipulator, node_limit)
+    truthful_is_optimal = truthful_profit >= -best[0]
     return SearchResult(
-        best_strategy=chosen,
-        best_profit=best_profit,
+        best_strategy=Strategy(true_row) if truthful_is_optimal else Strategy(best[1]),
+        best_profit=max(-best[0], truthful_profit),
         truthful_profit=truthful_profit,
-        truthful_is_optimal=truthful_profit == best_profit,
+        truthful_is_optimal=truthful_is_optimal,
         cap=cap,
-        strategies_evaluated=total,
-        distinct_evaluations=len(seen),
-        full_walks=trie.full_walks,
+        strategies_evaluated=(cap + 1) ** (economy.n_items - 1),
+        distinct_evaluations=transcripts,
+        full_walks=transcripts,
     )
 
 

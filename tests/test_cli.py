@@ -116,7 +116,7 @@ def test_manipulate_search(capsys, data_dir):
 
 
 MANIPULATE_BUYER_1_CAP_10 = """\
-cap: 10 (searched 14641 strategies, 5551 distinct evaluations)
+cap: 10 (searched 14641 strategies, 978 answer transcripts)
 truthful expected profit: 0/1
 best strategy found: [0, 0, 5, 0]
 best expected profit: 1/3
@@ -124,11 +124,20 @@ truthful reporting optimal within the cap: no
 """
 
 MANIPULATE_BUYER_2 = """\
-cap: 15 (searched 65536 strategies, 8161 distinct evaluations)
+cap: 15 (searched 65536 strategies, 609 answer transcripts)
 truthful expected profit: 3/1
 best strategy found: [7, 6, 8, 3]
 best expected profit: 3/1
 truthful reporting optimal within the cap: yes
+"""
+
+# the search's work follows the transcripts, not the 101**4 rows of the box
+MANIPULATE_BUYER_1_CAP_100 = """\
+cap: 100 (searched 104060401 strategies, 1110 answer transcripts)
+truthful expected profit: 0/1
+best strategy found: [0, 0, 5, 0]
+best expected profit: 1/3
+truthful reporting optimal within the cap: no
 """
 
 
@@ -137,8 +146,9 @@ truthful reporting optimal within the cap: yes
     [
         (["--buyer", "1", "--cap", "10"], MANIPULATE_BUYER_1_CAP_10),
         (["--buyer", "2"], MANIPULATE_BUYER_2),
+        (["--buyer", "1", "--cap", "100"], MANIPULATE_BUYER_1_CAP_100),
     ],
-    ids=["buyer_1_cap_10", "buyer_2"],
+    ids=["buyer_1_cap_10", "buyer_2", "buyer_1_cap_100"],
 )
 def test_manipulate_search_output_is_pinned(capsys, data_dir, flags, expected):
     path = str(data_dir / "example_market.json")

@@ -27,12 +27,7 @@ from rigidmarket import (
 )
 from rigidmarket.mechanism import apply_sale, gate
 from rigidmarket.model import settled_demand
-from rigidmarket.strategy import (
-    _AnswerTrie,
-    _clamp_windows,
-    _demand_signature,
-    _true_profit_of_run,
-)
+from rigidmarket.strategy import _transcripts, _true_profit_of_run
 
 from strategies import economies, make_economy, random_economy, repeated_row_economies
 
@@ -172,57 +167,34 @@ def test_search_on_running_example_finds_the_gain(market):
     assert result.best_profit == Fraction(1, 3)  # search says 1/3 is the optimum
     assert not result.truthful_is_optimal
     assert result.strategies_evaluated == 11**4
-    # 5,551 demand signatures, but only 978 distinct answer transcripts
-    assert result.distinct_evaluations == 5551
+    # 14,641 rows of the box, but only 978 distinct answer transcripts
+    assert result.distinct_evaluations == 978
     assert result.full_walks == 978
-
-
-def box_signature(economy, values):
-    """Each value and pairwise difference clamped to just past its price window."""
-    lower, upper = economy.lower_bounds, economy.upper_bounds
-    items = economy.real_items
-    singles = tuple(min(max(values[a - 1], lower[a] - 1), upper[a] + 1) for a in items)
-    diffs = tuple(
-        min(max(values[a - 1] - values[b - 1], lower[a] - upper[b] - 1), upper[a] - lower[b] + 1)
-        for a in items
-        for b in items
-        if a < b
-    )
-    return singles, diffs
-
-
-@settings(max_examples=60)
-@given(economies(max_buyers=2, max_real_items=4, max_value=6), st.integers(0, 4))
-def test_signature_partitions_the_box_like_the_oracle(economy, cap):
-    # one clamp rule over all pairs of the full row, dummy included, splits
-    # the box exactly as the oracle's singles plus real pairs do
-    windows = _clamp_windows(economy.lower_bounds, economy.upper_bounds)
-    by_search, by_oracle = {}, {}
-    for values in itertools.product(range(cap + 1), repeat=economy.n_items - 1):
-        by_search.setdefault(_demand_signature((0, *values), windows), set()).add(values)
-        by_oracle.setdefault(box_signature(economy, values), set()).add(values)
-    assert sorted(map(sorted, by_search.values())) == sorted(map(sorted, by_oracle.values()))
 
 
 def brute_force_search(problem, cap):
     """Every vector of the box scored by the plain walk, with the documented tie rule.
 
-    Returns (best strategy, best profit, truthful profit, distinct signatures).
+    Returns (best strategy, best profit, truthful profit, distinct transcripts).
     """
     economy = problem.economy
+    truth = economy.valuations[problem.manipulator - 1]
     best_profit = best_values = None
-    signatures = set()
+    transcripts = set()
     for values in itertools.product(range(cap + 1), repeat=economy.n_items - 1):
-        signatures.add(box_signature(economy, values))
-        profit = expected_profit_under_strategy(problem, Strategy.from_real_values(values))
+        strategy = Strategy.from_real_values(values)
+        reported = problem.reported_economy(strategy)
+        _, said = _true_profit_of_run(reported, truth, problem.manipulator, 10**6)
+        transcripts.add(tuple(said.items()))
+        profit = expected_profit_under_strategy(problem, strategy)
         if best_profit is None or profit > best_profit:
             best_profit, best_values = profit, values
     truthful = Strategy.truthful(economy, problem.manipulator)
     truthful_profit = expected_profit_under_strategy(problem, truthful)
     if truthful_profit >= best_profit:
-        return truthful, truthful_profit, truthful_profit, len(signatures)
+        return truthful, truthful_profit, truthful_profit, len(transcripts)
     best = Strategy.from_real_values(best_values)
-    return best, best_profit, truthful_profit, len(signatures)
+    return best, best_profit, truthful_profit, len(transcripts)
 
 
 def test_search_matches_the_plain_walk_over_the_box():
@@ -233,46 +205,15 @@ def test_search_matches_the_plain_walk_over_the_box():
         for buyer in economy.buyers:
             problem = ManipulationProblem(economy, buyer)
             result = optimal_strategy_search(problem)
-            best, best_profit, truthful_profit, signatures = brute_force_search(
+            best, best_profit, truthful_profit, transcripts = brute_force_search(
                 problem, result.cap
             )
             assert result.best_strategy == best, economy
             assert result.best_profit == best_profit
             assert result.truthful_profit == truthful_profit
-            assert result.distinct_evaluations == signatures
-            assert result.full_walks <= result.distinct_evaluations
+            assert result.full_walks == result.distinct_evaluations == transcripts
             misreports += not result.truthful_is_optimal
     assert misreports == 2  # the sample holds profitable misreports too
-
-
-@settings(max_examples=30)
-@given(
-    st.one_of(
-        economies(max_buyers=3, max_real_items=2, max_value=6),
-        repeated_row_economies(max_value=6),
-    ),
-    st.data(),
-)
-def test_answer_trie_replays_the_plain_walk(economy, data):
-    m = economy.n_items - 1
-    rows = data.draw(
-        st.lists(st.tuples(*[st.integers(0, 9)] * m), min_size=1, max_size=12)
-    )
-    truth = economy.valuations[0]
-    trie = _AnswerTrie(economy, 1, 10**6)
-
-    def walked(row):
-        reported = economy.with_valuation_row(1, (0, *row))
-        return _true_profit_of_run(reported, truth, 1, 10**6)[0]
-
-    for row in rows:
-        assert trie.profit((0, *row)) == walked(row)
-    walks = trie.full_walks
-    assert walks <= len(set(rows))
-    # every transcript is recorded now: a second pass only replays
-    for row in rows:
-        assert trie.profit((0, *row)) == walked(row)
-    assert trie.full_walks == walks
 
 
 def reporting_states(economy, manipulator):
@@ -306,23 +247,66 @@ def reporting_states(economy, manipulator):
     st.data(),
 )
 def test_walk_queries_exactly_the_states_where_she_reports(economy, data):
-    # the trie's transcript: one query (prices, sold items) per residual
-    # market (prices, sold items, sold buyers) where she is unsold and
-    # active, and no other; each answer is her settled demand at every
-    # state of the live mechanism in that market, whatever her row there
+    # the walk plays each residual market (prices, sold items, sold buyers)
+    # where she is unsold and active once, and stops once per query
+    # (prices, sold items) among them, when it first meets it; each answer
+    # is her settled demand at every state of the live mechanism with that
+    # query, whatever her permission row there
     row = (0, *data.draw(st.tuples(*[st.integers(0, 9)] * (economy.n_items - 1))))
     reported = economy.with_valuation_row(1, row)
-    _, transcript = _true_profit_of_run(reported, economy.valuations[0], 1, 10**6)
+    played = []
+
+    def spy(economy, state, answers=None):
+        if 1 in state.active:
+            sold = state.sold
+            played.append(
+                (state.prices, frozenset(sold.item_to_buyer), frozenset(sold.buyer_to_item))
+            )
+        return refresh_demands(economy, state, answers)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rigidmarket.expectation.refresh_demands", spy)
+        _, said = _true_profit_of_run(reported, economy.valuations[0], 1, 10**6)
     rows = {}  # her permission rows at each residual market, depth first
     for s in reporting_states(reported, 1):
         key = (s.prices, frozenset(s.sold.item_to_buyer), frozenset(s.sold.buyer_to_item))
         rows.setdefault(key, set()).add(s.rationing.allowed[0])
-    assert Counter(query for query, _ in transcript) == Counter(key[:2] for key in rows)
-    for (prices, sold), answer in transcript:
+    assert Counter(played) == Counter(list(rows))  # each market once
+    assert list(said) == list(dict.fromkeys(key[:2] for key in played))
+    for (prices, sold), answer in said.items():
         for key, allowed_rows in rows.items():
             if key[:2] == (prices, sold):
                 for allowed in allowed_rows:
                     assert answer == settled_demand(row, prices, allowed, sold)[1]
+
+
+@settings(max_examples=30)
+@given(economies(max_buyers=3, max_real_items=3, max_value=6), st.integers(0, 3))
+def test_transcript_search_scores_the_whole_box(economy, cap):
+    problem = ManipulationProblem(economy, 1)
+    truth = economy.valuations[0]
+    result = optimal_strategy_search(problem, cap=cap)
+    box = itertools.product(range(cap + 1), repeat=economy.n_items - 1)
+    profits = {v: expected_profit_under_strategy(problem, Strategy((0, *v))) for v in box}
+    top = max(profits.values())
+    assert result.best_profit == max(top, result.truthful_profit)
+    if result.truthful_profit >= top:
+        assert result.best_strategy == Strategy.truthful(economy, 1)
+    else:  # the smallest vector of the box at the top
+        least = min(v for v, p in profits.items() if p == top)
+        assert result.best_strategy == Strategy((0, *least))
+    assert expected_profit_under_strategy(problem, result.best_strategy) == result.best_profit
+    found = list(_transcripts(economy, 1, cap, 10**6))
+    assert result.full_walks == result.distinct_evaluations == len(found)
+    assert len({tuple(said.items()) for said, _, _ in found}) == len(found)
+    for said, profit, bounds in found:
+        least = tuple(-row[0] for row in bounds)  # the least row of its region
+        assert least[0] == 0 and all(0 <= v <= cap for v in least)
+        assert profits[least[1:]] == profit
+        walked, transcript = _true_profit_of_run(
+            economy.with_valuation_row(1, least), truth, 1, 10**6
+        )
+        assert (walked, list(transcript.items())) == (profit, list(said.items()))
 
 
 def test_search_size_guard_counts_like_the_plain_walk():
@@ -358,9 +342,21 @@ def test_search_single_buyer_trivially_truthful():
     assert result.best_profit == Fraction(5)
 
 
-def test_search_size_guard(market):
-    with pytest.raises(SizeGuard):
-        optimal_strategy_search(ManipulationProblem(market, 1), cap=100)
+def test_search_size_guard(market, monkeypatch):
+    # the search's work follows her answer transcripts, not the box: a cap
+    # of 100 finds what the default cap of 14 finds
+    problem = ManipulationProblem(market, 1)
+    wide = optimal_strategy_search(problem, cap=100)
+    default = optimal_strategy_search(problem)
+    assert (wide.cap, wide.strategies_evaluated) == (100, 101**4)
+    assert (wide.best_strategy, wide.best_profit, wide.truthful_profit, wide.full_walks) == (
+        default.best_strategy, default.best_profit, default.truthful_profit, default.full_walks
+    )
+    # the guard counts transcripts, and stops at one past its limit
+    assert default.full_walks > 50
+    monkeypatch.setattr("rigidmarket.strategy.DEFAULT_ENUMERATION_LIMIT", 50)
+    with pytest.raises(SizeGuard, match="^51 answer transcripts exceed the enumeration limit 50$"):
+        optimal_strategy_search(problem)
 
 
 @pytest.mark.parametrize(
